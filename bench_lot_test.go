@@ -1,4 +1,4 @@
-// Fab-scale lot pipeline benchmarks: the streamed ScreenLot against the
+// Fab-scale lot pipeline benchmarks: ScreenLotStream against the
 // pre-change per-die loop, across the 1/2/8 multi-site ladder and with the
 // disk cache cold versus warm. The bit-equality tests in internal/core pin
 // that every variant produces the identical LotReport, so these measure
@@ -64,8 +64,8 @@ func lotBenchLot(tb testing.TB) *dut.WaferLot {
 }
 
 // BenchmarkLotScreenPerDieLoop is the pre-streaming reference: one fresh
-// device, tester insertion and searcher per die, serially — what ScreenLot
-// compiled to before the pipeline landed. Its dies/sec is the baseline the
+// device, tester insertion and searcher per die, serially — what the lot
+// screen compiled to before the pipeline landed. Its dies/sec is the baseline the
 // streamed variants are gated against.
 func BenchmarkLotScreenPerDieLoop(b *testing.B) {
 	tests := lotBenchTests(b)

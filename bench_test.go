@@ -692,7 +692,8 @@ func BenchmarkExtensionLotScreen(b *testing.B) {
 	dies := dut.NewDieLot(96, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.ScreenLot(ate.TDQ, tests, dies, dut.DefaultGeometry(), 96)
+		rep, err := core.ScreenLotStream(ate.TDQ, tests, dut.LotSlice(dies), dut.DefaultGeometry(), 96,
+			core.LotOptions{Workers: 1, RetainDies: true})
 		if err != nil {
 			b.Fatal(err)
 		}

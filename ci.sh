@@ -4,8 +4,8 @@
 # targets, a telemetry-enabled smoke run (with a trace-determinism diff),
 # and short
 # benchmark passes that record the perf trajectory in BENCH_parallel.json
-# (fig. 5 + Table 1 ns/op and measurement counts, plus the fleet-vs-batch
-# scheduling ladder, whose >= 1.25x fleet speedup is a hard gate), BENCH_obs.json
+# (fig. 5 + Table 1 ns/op and measurement counts, plus the 8-worker fig. 5
+# fleet run, whose allocs/op ceiling is a hard gate), BENCH_obs.json
 # (instrumented-flow ns/op, cache hit rate, measurements per op) and
 # BENCH_kernels.json (neural kernel ns/op, B/op and allocs/op) and
 # BENCH_lot.json (streamed lot screening dies/sec across the worker ladder,
@@ -394,50 +394,63 @@ grep -q "shutdown complete" "$SMOKE_DIR/serve.stderr" || {
 echo "job service: learn job = CLI run $RUN_ID; queued job canceled; clean SIGTERM shutdown"
 
 echo "== fleet determinism under -race =="
-# The scheduling-equivalence suite is the license for the fleet being the
-# default: fleet ≡ batch pool bit-for-bit (results, merged stats, trace
-# bytes) at every worker count, with the race detector watching the
-# persistent workers, the streamed deliveries and the wavefront merges.
-go test -race -count=1 \
-	-run 'TestStream|TestFleetMatchesRun' ./internal/parallel/
-go test -race -count=1 \
-	-run 'TestSchedulerEquivalence|TestOptimizeDeterministic' ./internal/core/
-go test -race -count=1 \
-	-run 'TestAddTestsOn|TestAddFmaxTestsOn|TestWavefront' ./internal/shmoo/
+# The determinism suite is the license for the single fleet path: results,
+# merged stats and trace bytes are pinned to digests recorded from the
+# retired per-batch pool, at every fleet size, with the race detector
+# watching the persistent workers, the streamed deliveries and the
+# wavefront merges. `go test -run` exits 0 when a pattern matches nothing,
+# so every alternative of every pattern must list at least one test first:
+# a rename fails CI instead of silently turning this section into a no-op.
+race_suite() {
+	for alt in $(printf '%s' "$2" | tr '|' ' '); do
+		if ! go test -list "$alt" "$1" | grep -q '^Test'; then
+			echo "FAIL: -race pattern '$alt' matches no test in $1" >&2
+			exit 1
+		fi
+	done
+	RACE_OUT=$(go test -race -count=1 -v -run "$2" "$1") || {
+		printf '%s\n' "$RACE_OUT" >&2
+		exit 1
+	}
+	if printf '%s\n' "$RACE_OUT" | grep -q 'no tests to run'; then
+		echo "FAIL: -race pattern '$2' ran no tests in $1" >&2
+		exit 1
+	fi
+	printf '%s\n' "$RACE_OUT" | grep -E '^(ok|---)'
+}
+race_suite ./internal/parallel/ 'TestStream|TestFleetMatchesRun'
+race_suite ./internal/core/ 'TestSchedulerEquivalence|TestOptimizeDeterministic|TestScreenLotStreamMatchesLegacyPerDieLoop'
+race_suite ./internal/shmoo/ 'TestAddTestsOn|TestAddFmaxTestsOn|TestWavefront'
+race_suite ./internal/neural/ 'TestEnsembleParallel|TestEnsembleOn'
 echo "fleet determinism suite race-clean"
 
-echo "== fleet scheduling gate (fig. 5 fleet vs batch at 8 workers) =="
-# The persistent pipelined fleet must beat the frozen per-batch fork/join
-# pool by >= 1.25x wall-clock on the fig. 5 optimization scheme at 8
-# workers. The gap is total work, not concurrency (CI runs on one core):
-# fleet workers keep their forked ATE insertions — and the device's dense
-# execution scratch — alive across generations, so the per-generation
-# device clones and per-call map allocations of the batch pool disappear.
-# 5 iterations per variant keep the ratio out of cold-start noise.
-SCHED_OUT=$(go test -run '^$' \
-	-bench 'BenchmarkFigure5Sched/.*/workers=8$' \
-	-benchtime 5x -timeout 60m .)
-printf '%s\n' "$SCHED_OUT"
-printf '%s\n' "$SCHED_OUT" | awk '
-	BEGIN { min_speedup = 1.25; batch = 0; fleet = 0 }
-	/^BenchmarkFigure5Sched\/sched=batch\/workers=8/ {
-		for (i = 2; i <= NF; i++) if ($i == "ns/op") batch = $(i - 1) + 0
-	}
-	/^BenchmarkFigure5Sched\/sched=fleet\/workers=8/ {
-		for (i = 2; i <= NF; i++) if ($i == "ns/op") fleet = $(i - 1) + 0
+echo "== fig. 5 fleet allocation gate (8 workers) =="
+# The fig. 5 optimization scheme on the persistent fleet at 8 workers must
+# stay at or under 60000 allocs/op. Fleet workers keep their forked ATE
+# insertions — and the device's dense execution scratch — alive across
+# generations; the retired per-batch fork/join pool measured 90.8k allocs/op
+# against the fleet's 43.7k (2 vCPU, Go 1.24), so a return to
+# per-generation forking fails here. Unlike wall-clock, the count does not
+# depend on the CI machine.
+FLEET_OUT=$(go test -run '^$' \
+	-bench 'BenchmarkFigure5Workers/workers=8$' \
+	-benchmem -benchtime 5x -timeout 60m .)
+printf '%s\n' "$FLEET_OUT"
+printf '%s\n' "$FLEET_OUT" | awk '
+	BEGIN { ceiling = 60000; allocs = -1 }
+	/^BenchmarkFigure5Workers\/workers=8/ {
+		for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i - 1) + 0
 	}
 	END {
-		if (batch <= 0 || fleet <= 0) {
-			printf "FAIL: scheduling gate missing batch or fleet ns/op\n" > "/dev/stderr"
+		if (allocs < 0) {
+			printf "FAIL: fleet allocation gate found no allocs/op for BenchmarkFigure5Workers/workers=8\n" > "/dev/stderr"
 			exit 1
 		}
-		if (fleet * min_speedup > batch) {
-			printf "FAIL: fleet %.0f ns/op is only %.2fx the batch pool (%.0f); need >= %.2fx\n", \
-				fleet, batch / fleet, batch, min_speedup > "/dev/stderr"
+		if (allocs > ceiling) {
+			printf "FAIL: fig. 5 fleet allocs/op = %d exceeds ceiling %d\n", allocs, ceiling > "/dev/stderr"
 			exit 1
 		}
-		printf "scheduling gate: fleet %.0f ns/op = %.2fx faster than batch pool %.0f\n", \
-			fleet, batch / fleet, batch
+		printf "fleet allocation gate: %d allocs/op (ceiling %d)\n", allocs, ceiling
 	}
 '
 
@@ -446,7 +459,7 @@ BENCH_OUT=$(go test -run '^$' \
 	-bench '^(BenchmarkFigure5OptimizationScheme|BenchmarkTable1FullComparison)$' \
 	-benchtime 1x -timeout 60m .)
 printf '%s\n' "$BENCH_OUT"
-printf '%s\n%s\n' "$BENCH_OUT" "$SCHED_OUT" | awk '
+printf '%s\n%s\n' "$BENCH_OUT" "$FLEET_OUT" | awk '
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
 		ns = "null"; meas = "null"

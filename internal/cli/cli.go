@@ -29,11 +29,10 @@ import (
 
 // Common holds the flag values shared by every binary.
 type Common struct {
-	Seed      int64
-	Parallel  int
-	Scheduler string
-	NoCache   bool
-	CacheDir  string
+	Seed     int64
+	Parallel int
+	NoCache  bool
+	CacheDir string
 
 	TracePath   string
 	MetricsPath string
@@ -137,7 +136,6 @@ func Register(fs *flag.FlagSet) *Common {
 	c := &Common{fs: fs}
 	fs.Int64Var(&c.Seed, "seed", 1, "random seed for the whole run")
 	fs.IntVar(&c.Parallel, "parallel", 0, "worker count for every parallel stage (0 = one per CPU, 1 = serial; results are identical either way)")
-	fs.StringVar(&c.Scheduler, "scheduler", "", "parallel scheduler: fleet (persistent pipelined worker pool, the default) or batch (legacy per-batch fork/join; bit-identical results, only wall-clock differs)")
 	fs.BoolVar(&c.NoCache, "no-cache", false, "disable the measurement memo-cache (re-measure structurally identical tests)")
 	fs.StringVar(&c.CacheDir, "cache-dir", "", "persist measurement results in this directory (content-addressed; a second identical run serves them from disk)")
 	fs.StringVar(&c.TracePath, "trace", "", "write a structured JSONL event trace here (bit-identical for any -parallel)")
@@ -199,11 +197,6 @@ func (c *Common) Validate() error {
 	case "", "task-panic", "error":
 	default:
 		return fmt.Errorf("unknown -inject-fault mode %q (want task-panic or error)", c.InjectFault)
-	}
-	switch c.Scheduler {
-	case "", "fleet", "batch":
-	default:
-		return fmt.Errorf("unknown -scheduler %q (want fleet or batch)", c.Scheduler)
 	}
 	return nil
 }

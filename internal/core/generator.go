@@ -57,24 +57,18 @@ func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 		pool[i].Confidence = conf
 		return nil
 	}
-	var err error
-	if f := c.Fleet(); f != nil {
-		// Fleet path: vote scratches are memoized per persistent worker, so
-		// repeated proposal rounds (multi-era flows, Table 1) reuse them.
-		if c.voteScratch == nil {
-			c.voteScratch = make([]*neural.EnsembleScratch, f.Size())
-		}
-		err = parallel.RunOn(f, len(pool), func(w int) (*neural.EnsembleScratch, error) {
-			if c.voteScratch[w] == nil {
-				c.voteScratch[w] = ens.NewScratch()
-			}
-			return c.voteScratch[w], nil
-		}, score)
-	} else {
-		err = parallel.Run(len(pool), c.cfg.Parallelism,
-			func(int) (*neural.EnsembleScratch, error) { return ens.NewScratch(), nil },
-			score)
+	// Vote scratches are memoized per persistent fleet worker, so repeated
+	// proposal rounds (multi-era flows, Table 1) reuse them.
+	f := c.Fleet()
+	if c.voteScratch == nil {
+		c.voteScratch = make([]*neural.EnsembleScratch, f.Size())
 	}
+	err := parallel.RunOn(f, len(pool), func(w int) (*neural.EnsembleScratch, error) {
+		if c.voteScratch[w] == nil {
+			c.voteScratch[w] = ens.NewScratch()
+		}
+		return c.voteScratch[w], nil
+	}, score)
 	if err != nil {
 		return nil, err
 	}

@@ -216,11 +216,11 @@ func TestScreenLotBitEquivalentAcrossWorkers(t *testing.T) {
 		}
 		pt.Logf("seed=%d workers=%d param=%s dies=%d tests=%d", seed, workers, param, len(dies), len(tests))
 
-		serial, err := ScreenLot(param, tests, dies, geom, seed)
+		serial, err := screenLot(param, tests, dies, geom, seed, 1)
 		if err != nil {
 			pt.Fatalf("serial screen: %v", err)
 		}
-		par, err := ScreenLotParallel(param, tests, dies, geom, seed, workers)
+		par, err := screenLot(param, tests, dies, geom, seed, workers)
 		if err != nil {
 			pt.Fatalf("parallel screen: %v", err)
 		}

@@ -23,19 +23,25 @@ func lotTests(t *testing.T) []testgen.Test {
 	return append(tests, march)
 }
 
+// screenLot screens a die slice with per-die results retained — the shape
+// every lot test below asserts on.
+func screenLot(param ate.Parameter, tests []testgen.Test, dies []*dut.Die, geom dut.Geometry, seed int64, workers int) (*LotReport, error) {
+	return ScreenLotStream(param, tests, dut.LotSlice(dies), geom, seed, LotOptions{Workers: workers, RetainDies: true})
+}
+
 func TestScreenLotValidation(t *testing.T) {
 	dies := dut.NewDieLot(1, 3)
-	if _, err := ScreenLot(ate.TDQ, nil, dies, dut.DefaultGeometry(), 1); err == nil {
+	if _, err := screenLot(ate.TDQ, nil, dies, dut.DefaultGeometry(), 1, 1); err == nil {
 		t.Error("empty test set accepted")
 	}
-	if _, err := ScreenLot(ate.TDQ, lotTests(t), nil, dut.DefaultGeometry(), 1); err == nil {
+	if _, err := screenLot(ate.TDQ, lotTests(t), nil, dut.DefaultGeometry(), 1, 1); err == nil {
 		t.Error("empty lot accepted")
 	}
 }
 
 func TestScreenLotBasics(t *testing.T) {
 	dies := dut.NewDieLot(7, 12)
-	rep, err := ScreenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 7)
+	rep, err := screenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,7 @@ func TestScreenLotCornerOrdering(t *testing.T) {
 		dut.NewDie(1, dut.CornerTypical),
 		dut.NewDie(2, dut.CornerSlow),
 	}
-	rep, err := ScreenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 11)
+	rep, err := screenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +95,11 @@ func TestScreenLotCornerOrdering(t *testing.T) {
 
 func TestScreenLotDeterministic(t *testing.T) {
 	dies := dut.NewDieLot(13, 5)
-	a, err := ScreenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 13)
+	a, err := screenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 13, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ScreenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 13)
+	b, err := screenLot(ate.TDQ, lotTests(t), dies, dut.DefaultGeometry(), 13, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,7 @@ func TestScreenLotDetectsFunctionalFailures(t *testing.T) {
 	seq = append(seq, testgen.Vector{Op: testgen.OpRead, Addr: 1})
 	hot := testgen.Test{Name: "HOT", Seq: seq, Cond: testgen.NominalConditions()}
 
-	rep, err := ScreenLot(ate.TDQ, []testgen.Test{hot}, []*dut.Die{weak, healthy}, dut.DefaultGeometry(), 17)
+	rep, err := screenLot(ate.TDQ, []testgen.Test{hot}, []*dut.Die{weak, healthy}, dut.DefaultGeometry(), 17, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,7 @@ func TestScreenLotDetectsFunctionalFailures(t *testing.T) {
 
 func TestLotReportFormat(t *testing.T) {
 	dies := dut.NewDieLot(19, 4)
-	rep, err := ScreenLot(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 19)
+	rep, err := screenLot(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 19, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +158,14 @@ func TestLotReportFormat(t *testing.T) {
 	}
 }
 
-func TestScreenLotParallelMatchesSerial(t *testing.T) {
+func TestScreenLotMultiSiteMatchesSerial(t *testing.T) {
 	dies := dut.NewDieLot(23, 9)
 	tests := lotTests(t)
-	serial, err := ScreenLot(ate.TDQ, tests, dies, dut.DefaultGeometry(), 23)
+	serial, err := screenLot(ate.TDQ, tests, dies, dut.DefaultGeometry(), 23, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ScreenLotParallel(ate.TDQ, tests, dies, dut.DefaultGeometry(), 23, 4)
+	parallel, err := screenLot(ate.TDQ, tests, dies, dut.DefaultGeometry(), 23, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +185,13 @@ func TestScreenLotParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestScreenLotParallelWorkerClamping(t *testing.T) {
+func TestScreenLotWorkerClamping(t *testing.T) {
 	dies := dut.NewDieLot(29, 3)
 	// More workers than dies, and zero workers, must both work.
-	if _, err := ScreenLotParallel(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 29, 100); err != nil {
+	if _, err := screenLot(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 29, 100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ScreenLotParallel(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 29, 0); err != nil {
+	if _, err := screenLot(ate.TDQ, lotTests(t)[:2], dies, dut.DefaultGeometry(), 29, 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,9 +12,17 @@ import (
 	"repro/internal/wcr"
 )
 
+// lotPerDieDigest is the full LotReport digest of the lot below, recorded
+// when ScreenLotStream without a caller fleet still forked a transient
+// pool per window (and identical at every worker count and batch size
+// there). It now creates one fleet for the whole lot, which may change
+// only the fan-out shape, never a reported number.
+const lotPerDieDigest = "e23e55ecc2c6147605f4eb1be32124ef2ef0772c1d192d6da01b799da9ac1822"
+
 // The frozen legacy reference: screenDie in a serial per-die loop is the
 // pre-streaming implementation. Every streamed configuration must
-// reproduce its per-die outcomes bit for bit.
+// reproduce its per-die outcomes and summed cost bit for bit, and the
+// whole report must keep its recorded digest.
 func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 	tests := lotTests(t)
 	dies := dut.NewDieLot(31, 10)
@@ -23,16 +31,18 @@ func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 
 	want := make([]DieResult, len(dies))
 	wantCost := make([]ate.Stats, len(dies))
+	var wantTotal ate.Stats
 	for i, die := range dies {
 		dr, cost, err := screenDie(ate.TDQ, tests, die, geom, seed+int64(die.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i], wantCost[i] = dr, cost
+		wantTotal.Add(cost)
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		for _, batch := range []int{0, 1, 3, 64} {
+		for _, batch := range []int{0, 1, 3, 5, 64} {
 			rep, err := ScreenLotStream(ate.TDQ, tests, dut.LotSlice(dies), geom, seed, LotOptions{
 				Workers: workers, BatchSize: batch, RetainDies: true,
 			})
@@ -51,6 +61,12 @@ func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 			}
 			if rep.Measurements != totalMeas {
 				t.Errorf("workers=%d batch=%d: measurements %d, legacy %d", workers, batch, rep.Measurements, totalMeas)
+			}
+			if rep.Stats != wantTotal {
+				t.Errorf("workers=%d batch=%d: cost %+v, legacy %+v", workers, batch, rep.Stats, wantTotal)
+			}
+			if got := lotDigest(rep); got != lotPerDieDigest {
+				t.Errorf("workers=%d batch=%d: report digest %s, recorded %s", workers, batch, got, lotPerDieDigest)
 			}
 		}
 	}

@@ -138,7 +138,9 @@ func TestTable1DeterministicAcrossParallelism(t *testing.T) {
 
 func TestReplicatedDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *ReplicationReport {
-		rep, err := RunTable1ReplicatedParallel(smallTable1Config(41), 41, 2, workers)
+		cfg := smallTable1Config(41)
+		cfg.Flow.Parallelism = workers
+		rep, err := RunTable1Replicated(cfg, 41, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,8 +127,8 @@ type execScratch struct {
 // call. Results are bit-identical with or without it (pinned by the
 // exec-scratch equivalence property test); the trade is a fixed ~20 KiB of
 // per-device memory, which is why it is opt-in — long-lived worker
-// insertions (fleet workers, lot screeners) enable it, transient per-batch
-// forks keep the allocation-free construction.
+// insertions (fleet workers, lot screeners) enable it, transient forks keep
+// the allocation-free construction.
 func (m *Memory) EnableExecScratch() {
 	if m.scratch != nil {
 		return

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -319,6 +320,55 @@ func TestServiceHTTPSurface(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("cancel of finished job: status %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestSubmissionBounds: an oversize POST /jobs body is refused with 413
+// whether or not it declares its length, and a submission after the
+// server shut down gets 503.
+func TestSubmissionBounds(t *testing.T) {
+	srv, base := bootService(t, t.TempDir(), t.TempDir(), 2)
+
+	big := `{"flow":"learn","args":{"learn-tests":"` + strings.Repeat("9", 1<<20+1<<10) + `"}}`
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+	}{
+		{"content-length", strings.NewReader(big)},
+		{"chunked", io.MultiReader(strings.NewReader(big))}, // unknown length
+	} {
+		resp, err := http.Post(base+"/jobs", "application/json", tc.body)
+		if err != nil {
+			t.Fatalf("%s: POST oversize: %v", tc.name, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversize submission: status %d (%s), want 413", tc.name, resp.StatusCode, raw)
+		}
+		if !strings.Contains(string(raw), "exceeds") {
+			t.Fatalf("%s: oversize submission error %s", tc.name, raw)
+		}
+	}
+	if queued := srv.List(); len(queued) != 0 {
+		t.Fatalf("oversize submissions queued %d jobs", len(queued))
+	}
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(jobs.Submission{Flow: "learn"})
+	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST after shutdown: %v", err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(raw), "shut down") {
+		t.Fatalf("submit after shutdown: status %d (%s), want 503", resp.StatusCode, raw)
+	}
+	if _, err := srv.Submit(jobs.Submission{Flow: "learn"}); !errors.Is(err, jobs.ErrShutDown) {
+		t.Fatalf("Submit after shutdown: %v, want ErrShutDown", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package jobs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 
@@ -19,6 +20,14 @@ import (
 //	GET    /jobs/<id>/output    — the flow's captured text output
 //
 // Every error body is {"error": "one pinned line"}.
+
+// maxSubmissionBytes bounds a POST /jobs body. A submission is a flow name,
+// a seed and a handful of flag values — a few hundred bytes — so a body
+// past this size is refused with 413: up front when it declares its
+// length, at the limit while decoding when it does not.
+const maxSubmissionBytes = 1 << 20
+
+var submissionTooLarge = fmt.Sprintf("job submission exceeds %d bytes", maxSubmissionBytes)
 
 // Handler returns the /jobs HTTP handler (paths are absolute, so it mounts
 // directly on the admin mux via obs.Options.Jobs).
@@ -50,17 +59,26 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
+		if r.ContentLength > maxSubmissionBytes {
+			httpError(w, http.StatusRequestEntityTooLarge, submissionTooLarge)
+			return
+		}
 		var sub Submission
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmissionBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&sub); err != nil {
+			var mbe *http.MaxBytesError
+			if errors.As(err, &mbe) {
+				httpError(w, http.StatusRequestEntityTooLarge, submissionTooLarge)
+				return
+			}
 			httpError(w, http.StatusBadRequest, "bad job submission: "+err.Error())
 			return
 		}
 		j, err := s.Submit(sub)
 		if err != nil {
 			code := http.StatusBadRequest
-			if strings.Contains(err.Error(), "server is shut down") {
+			if errors.Is(err, ErrShutDown) {
 				code = http.StatusServiceUnavailable
 			}
 			httpError(w, code, err.Error())

@@ -127,6 +127,9 @@ var ErrNotFound = errors.New("jobs: no such job")
 // ErrTerminal reports an operation on a job that already finished.
 var ErrTerminal = errors.New("jobs: job already finished")
 
+// ErrShutDown reports a submission to a server that is closing or closed.
+var ErrShutDown = errors.New("jobs: server is shut down")
+
 // jobIDPattern pins the ID grammar URL routing accepts.
 var jobIDPattern = regexp.MustCompile(`^j[0-9]{6,}$`)
 

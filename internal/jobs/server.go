@@ -312,7 +312,7 @@ func (s *Server) Submit(sub Submission) (*Job, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("jobs: server is shut down")
+		return nil, ErrShutDown
 	}
 	s.mu.Unlock()
 	j, err := s.q.Submit(sub)

@@ -2,99 +2,84 @@ package neural
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/parallel"
 )
 
+// Digests of NewEnsemble's weights and member reports for the three
+// configurations below, recorded when fleet-less training still ran on the
+// per-call pool (where the serial and 4-worker forms agreed).
+const (
+	ensembleDigest47 = "4d29e9e48f78eab82be1fbb3e90f7a209806084e5d0ba2382a064f0f6cceaa76"
+	ensembleDigest53 = "9dca677d693d55e2de443ce177f72a645ee0ad021beb5cdf85c778d49c86f7e5"
+	ensembleDigest61 = "42c9dd1f757bdf89db24c6fcb68267dcace763940eee5dce61abe5fd10d6c052"
+)
+
 func TestEnsembleParallelBitIdenticalToSerial(t *testing.T) {
+	// Fleet-hosted training is a pure scheduling change: weights and member
+	// reports at every fleet size equal NewEnsemble's.
 	data := syntheticRegression(47, 160)
 	cfg := DefaultTrainConfig(47)
 	cfg.Epochs = 40
 
-	serialize := func(e *Ensemble) string {
-		var b bytes.Buffer
-		if err := e.Save(&b, nil); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-
-	serial, serialReports, err := NewEnsembleParallel(47, 4, []int{3, 8, 1}, data, cfg, 1)
+	serial, serialReports, err := NewEnsemble(47, 4, []int{3, 8, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serialize(serial)
+	want := ensembleDigest(t, serial, serialReports)
+	if want != ensembleDigest47 {
+		t.Errorf("NewEnsemble digest %s, recorded %s", want, ensembleDigest47)
+	}
 
-	for _, workers := range []int{2, 8} {
-		e, reports, err := NewEnsembleParallel(47, 4, []int{3, 8, 1}, data, cfg, workers)
+	for _, workers := range []int{1, 2, 4, 8} {
+		f := parallel.NewFleet(workers)
+		e, reports, err := NewEnsembleOn(f, 47, 4, []int{3, 8, 1}, data, cfg)
+		f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := serialize(e); got != want {
-			t.Errorf("workers=%d trained weights differ from serial", workers)
-		}
-		if len(reports) != len(serialReports) {
-			t.Fatalf("workers=%d reports = %d, want %d", workers, len(reports), len(serialReports))
-		}
-		for i := range reports {
-			if reports[i].TrainErr != serialReports[i].TrainErr ||
-				reports[i].ValErr != serialReports[i].ValErr ||
-				reports[i].Epochs != serialReports[i].Epochs {
-				t.Errorf("workers=%d member %d training report differs: %+v vs %+v",
-					workers, i, reports[i], serialReports[i])
-			}
+		if got := ensembleDigest(t, e, reports); got != want {
+			t.Errorf("fleet=%d weights or reports differ from NewEnsemble", workers)
 		}
 	}
 }
 
 func TestEnsembleParallelMatchesLegacyNewEnsemble(t *testing.T) {
-	// NewEnsemble is the serial special case — the parallel constructor with
-	// any worker count must reproduce it exactly.
+	// NewEnsemble itself must still train the exact ensemble it did before
+	// it ran on a one-worker fleet, and a fleet wider than the member count
+	// must agree with it.
 	data := syntheticRegression(53, 120)
 	cfg := DefaultTrainConfig(53)
 	cfg.Epochs = 30
 
-	legacy, _, err := NewEnsemble(53, 3, []int{3, 6, 1}, data, cfg)
+	legacy, legacyReports, err := NewEnsemble(53, 3, []int{3, 6, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := NewEnsembleParallel(53, 3, []int{3, 6, 1}, data, cfg, 8)
+	if got := ensembleDigest(t, legacy, legacyReports); got != ensembleDigest53 {
+		t.Errorf("NewEnsemble digest %s, recorded %s", got, ensembleDigest53)
+	}
+	f := parallel.NewFleet(8)
+	defer f.Close()
+	par, parReports, err := NewEnsembleOn(f, 53, 3, []int{3, 6, 1}, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := legacy.Save(&a, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Save(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("parallel ensemble weights differ from NewEnsemble")
+	if got := ensembleDigest(t, par, parReports); got != ensembleDigest53 {
+		t.Error("8-worker fleet ensemble differs from NewEnsemble")
 	}
 }
 
 func TestEnsembleOnMatchesParallel(t *testing.T) {
-	// Fleet-hosted training is a pure scheduling change: weights and member
-	// reports are bit-identical to the batch-pool constructor at every fleet
-	// size, including a fleet reused across two trainings.
+	// A fleet reused across two trainings reproduces the ensemble the
+	// 4-worker pool recorded, each time and at every fleet size.
 	data := syntheticRegression(61, 140)
 	cfg := DefaultTrainConfig(61)
 	cfg.Epochs = 30
-
-	serialize := func(e *Ensemble) string {
-		var b bytes.Buffer
-		if err := e.Save(&b, nil); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	ref, refReports, err := NewEnsembleParallel(61, 4, []int{3, 6, 1}, data, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := serialize(ref)
 
 	for _, workers := range []int{1, 2, 8} {
 		f := parallel.NewFleet(workers)
@@ -103,21 +88,24 @@ func TestEnsembleOnMatchesParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := serialize(e); got != want {
-				t.Errorf("fleet=%d round %d: trained weights differ from batch pool", workers, round)
-			}
-			if len(reports) != len(refReports) {
-				t.Fatalf("fleet=%d reports = %d, want %d", workers, len(reports), len(refReports))
-			}
-			for i := range reports {
-				if reports[i].TrainErr != refReports[i].TrainErr ||
-					reports[i].ValErr != refReports[i].ValErr ||
-					reports[i].Epochs != refReports[i].Epochs {
-					t.Errorf("fleet=%d member %d report differs: %+v vs %+v",
-						workers, i, reports[i], refReports[i])
-				}
+			if got := ensembleDigest(t, e, reports); got != ensembleDigest61 {
+				t.Errorf("fleet=%d round %d: digest %s, recorded %s", workers, round, got, ensembleDigest61)
 			}
 		}
 		f.Close()
 	}
+}
+
+// ensembleDigest hashes a trained ensemble's serialized weights together
+// with every member's training report.
+func ensembleDigest(t *testing.T, e *Ensemble, reports []TrainReport) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := e.Save(&b, nil); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(b.Bytes())
+	fmt.Fprintf(h, "\x00%+v", reports)
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -32,7 +32,7 @@ type Options struct {
 	// /runs/diff — from this run store. Nil serves 404 JSON errors there.
 	Ledger *runstore.Store
 	// RunInfo supplies the label set of the repro_run_info info-pattern
-	// gauge appended to /metrics (flow, seed, scheduler, run_fingerprint).
+	// gauge appended to /metrics (flow, seed, run_fingerprint).
 	// Called per scrape so live values (the fingerprint) stay current. Nil
 	// omits the gauge.
 	RunInfo func() map[string]string
@@ -51,6 +51,11 @@ type Options struct {
 
 // DefaultHeartbeat is the idle-stream SSE comment interval.
 const DefaultHeartbeat = 15 * time.Second
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled or slow-dripping connection cannot hold a server
+// goroutine open indefinitely. Bodies and SSE streams are not affected.
+const readHeaderTimeout = 10 * time.Second
 
 // Server is the embeddable observability endpoint of one run: /metrics in
 // Prometheus text format, /healthz + run-phase-aware /readyz, net/http/pprof
@@ -74,7 +79,7 @@ func Start(addr string, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("obs: listening on %s: %w", addr, err)
 	}
 	s := &Server{opts: opts, ln: ln, started: time.Now()}
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }

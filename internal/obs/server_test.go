@@ -205,3 +205,10 @@ func waitFrame(t *testing.T, frames chan sseFrame, errc chan error) sseFrame {
 	}
 	panic("unreachable")
 }
+
+func TestServerBoundsHeaderRead(t *testing.T) {
+	srv, _, _ := startTestServer(t)
+	if got := srv.srv.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+}

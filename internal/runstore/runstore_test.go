@@ -118,18 +118,31 @@ func TestAttemptsSidecar(t *testing.T) {
 		t.Fatalf("Attempts before any append = %v, %v", got, err)
 	}
 	for i, a := range []Attempt{
-		{TimeUnixNano: 100, WallSeconds: 1.5, Parallelism: 1, Scheduler: "fleet"},
-		{TimeUnixNano: 200, WallSeconds: 0.9, Parallelism: 8, Scheduler: "batch"},
+		{TimeUnixNano: 100, WallSeconds: 1.5, Parallelism: 1},
+		{TimeUnixNano: 200, WallSeconds: 0.9, Parallelism: 8},
 	} {
 		if err := st.AppendAttempt(id, a); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
+	// A line from an older writer carrying a key this version no longer
+	// knows still decodes.
+	f, err := os.OpenFile(st.attemptsPath(id), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"time_unix_nano":300,"wall_seconds":2,"parallelism":4,"retired_field":"batch"}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 	got, err = st.Attempts(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].TimeUnixNano != 100 || got[1].Parallelism != 8 {
+	if len(got) != 3 || got[0].TimeUnixNano != 100 || got[1].Parallelism != 8 ||
+		got[2].TimeUnixNano != 300 || got[2].Parallelism != 4 {
 		t.Errorf("Attempts = %+v", got)
 	}
 
@@ -137,7 +150,7 @@ func TestAttemptsSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sums) != 1 || sums[0].FirstAttemptNano() != 100 || sums[0].LastAttemptNano() != 200 {
+	if len(sums) != 1 || sums[0].FirstAttemptNano() != 100 || sums[0].LastAttemptNano() != 300 {
 		t.Errorf("List = %+v", sums)
 	}
 }

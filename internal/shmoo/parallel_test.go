@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ate"
+	"repro/internal/parallel"
 )
 
 func smallAxes() (Axis, Axis) {
@@ -12,74 +13,9 @@ func smallAxes() (Axis, Axis) {
 	return x, y
 }
 
-func TestAddTestsParallelDeterministicAcrossWorkers(t *testing.T) {
-	tester, gen := rig(t)
-	tester.NoiseFraction = 0.25 // noise on: the RNG discipline is the hard part
-	tests := gen.Batch(6)
-	x, y := smallAxes()
-
-	render := func(workers int) (string, int64) {
-		p, err := NewPlot(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fork, err := tester.Fork(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.AddTestsParallel(fork, tests, 900, workers); err != nil {
-			t.Fatal(err)
-		}
-		return p.Render(), fork.Stats().Measurements
-	}
-
-	serial, serialCost := render(1)
-	for _, workers := range []int{2, 8} {
-		got, cost := render(workers)
-		if got != serial {
-			t.Errorf("workers=%d grid differs from serial:\n%s\nvs\n%s", workers, got, serial)
-		}
-		if cost != serialCost {
-			t.Errorf("workers=%d merged %d measurements, serial %d", workers, cost, serialCost)
-		}
-	}
-}
-
-func TestAddTestParallelDeterministicAcrossWorkers(t *testing.T) {
-	tester, gen := rig(t)
-	tester.NoiseFraction = 0.25
-	tt := gen.Next()
-	x, y := smallAxes()
-
-	render := func(workers int) string {
-		p, err := NewPlot(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fork, err := tester.Fork(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.AddTestParallel(fork, tt, 901, workers); err != nil {
-			t.Fatal(err)
-		}
-		if p.Tests != 1 {
-			t.Fatalf("Tests = %d after one AddTestParallel", p.Tests)
-		}
-		return p.Render()
-	}
-
-	serial := render(1)
-	for _, workers := range []int{3, 8} {
-		if got := render(workers); got != serial {
-			t.Errorf("workers=%d row-parallel grid differs from serial:\n%s\nvs\n%s", workers, got, serial)
-		}
-	}
-}
-
 func TestParallelOverlayMatchesNoiselessSerial(t *testing.T) {
 	// With noise disabled the per-test hermetic semantics cannot differ
-	// from the shared-tester serial sweep (thermal off too): the parallel
+	// from the shared-tester serial sweep (thermal off too): the fleet
 	// overlay must equal the plain AddTest overlay cell for cell.
 	tester, gen := rig(t) // rig sets NoiseFraction = 0, no Heating
 	tests := gen.Batch(4)
@@ -99,11 +35,13 @@ func TestParallelOverlayMatchesNoiselessSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := par.AddTestsParallel(tester, tests, 902, 4); err != nil {
+	f := parallel.NewFleet(4)
+	defer f.Close()
+	if err := par.AddTestsOn(f, tester, tests, 902); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := par.Render(), serial.Render(); got != want {
-		t.Errorf("parallel overlay differs from serial:\n%s\nvs\n%s", got, want)
+		t.Errorf("fleet overlay differs from serial:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -125,7 +63,9 @@ func TestOnTestObserverFiresInTestOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddTestsParallel(fork, tests, 902, 4); err != nil {
+	f := parallel.NewFleet(4)
+	defer f.Close()
+	if err := p.AddTestsOn(f, fork, tests, 902); err != nil {
 		t.Fatal(err)
 	}
 	if len(indices) != len(tests) {
@@ -140,11 +80,11 @@ func TestOnTestObserverFiresInTestOrder(t *testing.T) {
 		t.Errorf("observed cost %d != merged tester cost %d", total, fork.Stats().Measurements)
 	}
 
-	// The row-parallel single-test path reports one observation with the
-	// whole sweep's cost.
+	// The wavefront reports one observation per test with the whole
+	// sweep's cost.
 	indices, total = nil, 0
 	before := fork.Stats().Measurements
-	if err := p.AddTestParallel(fork, tests[0], 903, 4); err != nil {
+	if err := p.AddTestsWavefront(f, fork, tests[:1], 903); err != nil {
 		t.Fatal(err)
 	}
 	if len(indices) != 1 || indices[0] != 5 {
