@@ -5,12 +5,84 @@ import (
 
 	"repro/internal/ate"
 	"repro/internal/parallel"
+	"repro/internal/testgen"
 )
 
 func smallAxes() (Axis, Axis) {
 	x := Axis{Label: "T_DQ (ns)", Min: 20, Max: 32, Steps: 13}
 	y := Axis{Label: "VDD (V)", Min: 1.5, Max: 2.1, Steps: 7}
 	return x, y
+}
+
+func TestAddTestsParallelDeterministicAcrossWorkers(t *testing.T) {
+	tester, gen := rig(t)
+	tester.NoiseFraction = 0.25 // noise on: the RNG discipline is the hard part
+	tests := gen.Batch(6)
+	x, y := smallAxes()
+
+	render := func(workers int) (string, int64) {
+		p, err := NewPlot(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork, err := tester.Fork(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := parallel.NewFleet(workers)
+		defer f.Close()
+		if err := p.AddTestsOn(f, fork, tests, 900); err != nil {
+			t.Fatal(err)
+		}
+		return p.Render(), fork.Stats().Measurements
+	}
+
+	serial, serialCost := render(1)
+	for _, workers := range []int{2, 8} {
+		got, cost := render(workers)
+		if got != serial {
+			t.Errorf("workers=%d grid differs from serial:\n%s\nvs\n%s", workers, got, serial)
+		}
+		if cost != serialCost {
+			t.Errorf("workers=%d merged %d measurements, serial %d", workers, cost, serialCost)
+		}
+	}
+}
+
+func TestAddTestParallelDeterministicAcrossWorkers(t *testing.T) {
+	// One test with its rows fanned across the fleet (the wavefront of a
+	// single test) must not depend on the fleet size.
+	tester, gen := rig(t)
+	tester.NoiseFraction = 0.25
+	tt := gen.Next()
+	x, y := smallAxes()
+
+	render := func(workers int) string {
+		p, err := NewPlot(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork, err := tester.Fork(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := parallel.NewFleet(workers)
+		defer f.Close()
+		if err := p.AddTestsWavefront(f, fork, []testgen.Test{tt}, 901); err != nil {
+			t.Fatal(err)
+		}
+		if p.Tests != 1 {
+			t.Fatalf("Tests = %d after one single-test wavefront", p.Tests)
+		}
+		return p.Render()
+	}
+
+	serial := render(1)
+	for _, workers := range []int{3, 8} {
+		if got := render(workers); got != serial {
+			t.Errorf("workers=%d row-parallel grid differs from serial:\n%s\nvs\n%s", workers, got, serial)
+		}
+	}
 }
 
 func TestParallelOverlayMatchesNoiselessSerial(t *testing.T) {
