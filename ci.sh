@@ -542,9 +542,13 @@ echo "wrote BENCH_kernels.json:"
 cat BENCH_kernels.json
 
 echo "== lot pipeline benchmark (fab-scale gates) =="
-# Three hard gates on the streamed lot pipeline, measured on a 10k-die lot:
+# Four hard gates on the streamed lot pipeline, measured on a 10k-die lot:
 #   - speedup: streamed workers=8 cache=off must screen >= 2x the dies/sec
 #     of the frozen pre-streaming per-die loop (BenchmarkLotScreenPerDieLoop);
+#   - cold floor: streamed workers=1 cache=off must screen >= 80000 dies/sec
+#     (35-41k before the lazily seeded noise RNG, per-lot wafer cell table
+#     and copy-free profile hits; ~130-170k after, 2 vCPU, Go 1.24), so a
+#     return of per-die RNG seeding or grid rescans fails CI;
 #   - warm hit rate: a run against an already-populated cache dir must serve
 #     >= 50% of dies from disk (in practice 100%);
 #   - allocations: the streamed path must stay under 48 mallocs per die
@@ -559,7 +563,8 @@ printf '%s\n' "$LOT_OUT" | awk '
 		alloc_ceiling = 48
 		min_speedup = 2.0
 		min_warm_hit_rate = 0.5
-		perdie = 0; stream8 = 0
+		min_cold_dies_per_sec = 80000
+		perdie = 0; stream8 = 0; stream1 = 0
 		fail = 0
 	}
 	/^Benchmark/ {
@@ -578,6 +583,7 @@ printf '%s\n' "$LOT_OUT" | awk '
 			name, ns, dps, meas, rate, apd, bytes
 		if (name == "BenchmarkLotScreenPerDieLoop") perdie = dps + 0
 		if (name == "BenchmarkLotScreenStream/workers=8/cache=off") stream8 = dps + 0
+		if (name == "BenchmarkLotScreenStream/workers=1/cache=off") stream1 = dps + 0
 		if (name ~ /cache=warm/ && rate != "null" && rate + 0 < min_warm_hit_rate) {
 			printf "FAIL: %s hit rate %s below %.2f\n", name, rate, min_warm_hit_rate > "/dev/stderr"
 			fail = 1
@@ -598,6 +604,16 @@ printf '%s\n' "$LOT_OUT" | awk '
 			fail = 1
 		} else {
 			printf "lot gate: streamed %.0f dies/sec = %.2fx per-die loop %.0f\n", stream8, stream8 / perdie, perdie
+		}
+		if (stream1 <= 0) {
+			printf "FAIL: lot benchmark output missing workers=1 cache=off dies_per_sec\n" > "/dev/stderr"
+			fail = 1
+		} else if (stream1 < min_cold_dies_per_sec) {
+			printf "FAIL: streamed workers=1 cache=off %.0f dies/sec is below the cold floor %d\n", \
+				stream1, min_cold_dies_per_sec > "/dev/stderr"
+			fail = 1
+		} else {
+			printf "lot gate: cold workers=1 %.0f dies/sec (floor %d)\n", stream1, min_cold_dies_per_sec
 		}
 		exit fail
 	}

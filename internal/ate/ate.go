@@ -101,7 +101,7 @@ type ATE struct {
 func New(dev *dut.Device, seed int64) *ATE {
 	return &ATE{
 		dev:           dev,
-		rng:           rand.New(rand.NewSource(seed)),
+		rng:           newNoiseRNG(seed),
 		NoiseFraction: 0.25,
 	}
 }
@@ -130,10 +130,12 @@ func (a *ATE) Reload() { a.haveCached = false; a.cachedName = "" }
 
 // load makes the test's profile current, computing it if the pattern memory
 // holds a different test. Tests are distinguished by name; generators give
-// every test a unique name.
-func (a *ATE) load(t testgen.Test) (dut.Profile, error) {
+// every test a unique name. The result points at the pattern-memory cache:
+// a hit copies nothing, and it stays valid until the next load of a
+// different test or Reload. A failed load leaves the previous cache intact.
+func (a *ATE) load(t testgen.Test) (*dut.Profile, error) {
 	if a.haveCached && a.cachedName == t.Name {
-		return a.cached, nil
+		return &a.cached, nil
 	}
 	var p dut.Profile
 	var err error
@@ -143,13 +145,13 @@ func (a *ATE) load(t testgen.Test) (dut.Profile, error) {
 		p, err = a.dev.Profile(t)
 	}
 	if err != nil {
-		return dut.Profile{}, err
+		return nil, err
 	}
 	a.cached = p
 	a.cachedName = t.Name
 	a.haveCached = true
 	a.stats.Profiles++
-	return p, nil
+	return &a.cached, nil
 }
 
 // chargeMeasurement accounts one pass/fail measurement of the test against
@@ -187,7 +189,13 @@ func (a *ATE) noise(sigma float64) float64 {
 
 // Profile exposes the cached profile path for analysis tools (shmoo, WCR
 // reports) that need parameter values rather than pass/fail bits.
-func (a *ATE) Profile(t testgen.Test) (dut.Profile, error) { return a.load(t) }
+func (a *ATE) Profile(t testgen.Test) (dut.Profile, error) {
+	p, err := a.load(t)
+	if err != nil {
+		return dut.Profile{}, err
+	}
+	return *p, nil
+}
 
 // MeasureTDQPass performs one strobe measurement of the data-output valid
 // window: the device passes when its window at the test's conditions covers

@@ -104,6 +104,36 @@ func TestProfileCacheByName(t *testing.T) {
 	}
 }
 
+func TestFailedLoadKeepsCachedProfile(t *testing.T) {
+	// A pattern that fails to load must not disturb the profile already in
+	// pattern memory: the next measurement of the cached test is a hit and
+	// sees the same values.
+	a := testATE(t)
+	a.NoiseFraction = 0
+	tt := sampleTest(t)
+	want, err := a.Profile(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := testgen.Test{Name: "bad", Seq: testgen.Sequence{{Op: testgen.OpRead, Addr: 1 << 30}}, Cond: tt.Cond}
+	if _, err := a.MeasureTDQPass(bad, 20); err == nil {
+		t.Fatal("out-of-range pattern loaded")
+	}
+	got, err := a.Profile(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Act != want.Act || got.TDQWindowNS() != want.TDQWindowNS() {
+		t.Error("failed load changed the cached profile")
+	}
+	if p := a.Stats().Profiles; p != 1 {
+		t.Errorf("profiles = %d, want 1: the cached test must still hit", p)
+	}
+	if pass, err := a.MeasureTDQPass(tt, want.TDQWindowNS()); err != nil || !pass {
+		t.Errorf("measuring the cached test after a failed load: pass=%v err=%v", pass, err)
+	}
+}
+
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Measurements: 1, VectorsApplied: 2, TestTimeSec: 3, Profiles: 4}
 	a.Add(Stats{Measurements: 10, VectorsApplied: 20, TestTimeSec: 30, Profiles: 40})

@@ -40,9 +40,11 @@ func (a *ATE) Fork(seed int64) (*ATE, error) {
 // which worker ran before it — which is the property the deterministic
 // parallel engine relies on. Bank Stats() before reseeding.
 func (a *ATE) Reseed(seed int64) {
-	// Seed in place: rand.Rand.Seed re-runs the source seeding, so the
-	// stream equals a fresh rand.New(rand.NewSource(seed)) without paying a
-	// ~5 KiB source allocation per task (Reseed runs once per fitness task).
+	// Seed in place and in O(1): the lazy source (rng.go) only records the
+	// seed and computes each feedback word when a draw first touches it, so
+	// a task pays for the few dozen words it draws rather than all 607, and
+	// allocates nothing. The stream equals a fresh
+	// rand.New(rand.NewSource(seed)) draw for draw.
 	a.rng.Seed(seed)
 	a.Heating.Reset()
 	a.Reload()

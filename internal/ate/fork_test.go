@@ -112,6 +112,18 @@ func TestReseedIsHermetic(t *testing.T) {
 	if got := measureTwice(t, used, tt); got != want {
 		t.Errorf("reseeded task diverged: got %v, want %v", got, want)
 	}
+
+	// A stream longer than the noise source's 607-word feedback register
+	// rewrites every word; reseeding must still restore the same stream.
+	for i := 0; i < 2*rngLen; i++ {
+		if _, err := used.MeasureTDQPass(other, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used.Reseed(4242)
+	if got := measureTwice(t, used, tt); got != want {
+		t.Errorf("task reseeded after a long stream diverged: got %v, want %v", got, want)
+	}
 }
 
 func TestAddStatsMerges(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 type Device struct {
 	die  *Die
 	mem  *Memory
-	phys Physics
+	phys Physics // never modified after construction; profiles point at it
 }
 
 // NewDevice assembles a device from a geometry and a die, using the default
@@ -78,7 +78,7 @@ type Profile struct {
 	Func FunctionalResult
 
 	die  *Die
-	phys Physics
+	phys *Physics // the device's constants, shared rather than copied
 }
 
 // Profile executes the test sequence once on a freshly cleared array and
@@ -92,11 +92,11 @@ func (d *Device) Profile(t testgen.Test) (Profile, error) {
 	d.mem.Reset()
 	act, fn := d.mem.Execute(t.Seq, t.Cond.VddV)
 	if d.die.WeakCellCount() > 0 {
-		vddEff := d.phys.EffectiveVdd(t.Cond.VddV, t.Cond.TempC, act, d.die)
+		vddEff := d.phys.EffectiveVdd(t.Cond.VddV, t.Cond.TempC, &act, d.die)
 		d.mem.Reset()
 		act, fn = d.mem.Execute(t.Seq, vddEff)
 	}
-	return Profile{Test: t, Act: act, Func: fn, die: d.die, phys: d.phys}, nil
+	return Profile{Test: t, Act: act, Func: fn, die: d.die, phys: &d.phys}, nil
 }
 
 // TDQWindowNS returns the data-output valid window at the profile's own
@@ -109,49 +109,49 @@ func (p Profile) TDQWindowNS() float64 {
 // (temperature and clock stay at the test's conditions). The shmoo engine
 // sweeps this axis.
 func (p Profile) TDQWindowNSAt(vdd float64) float64 {
-	return p.phys.TDQWindowNS(vdd, p.Test.Cond.TempC, p.Test.Cond.ClockMHz, p.Act, p.die)
+	return p.phys.TDQWindowNS(vdd, p.Test.Cond.TempC, p.Test.Cond.ClockMHz, &p.Act, p.die)
 }
 
 // TDQWindowNSAtCond returns the valid window at a fully overridden
 // operating point. The ATE uses this to fold in junction self-heating on
 // top of the programmed ambient.
-func (p Profile) TDQWindowNSAtCond(vdd, tempC, clockMHz float64) float64 {
-	return p.phys.TDQWindowNS(vdd, tempC, clockMHz, p.Act, p.die)
+func (p *Profile) TDQWindowNSAtCond(vdd, tempC, clockMHz float64) float64 {
+	return p.phys.TDQWindowNS(vdd, tempC, clockMHz, &p.Act, p.die)
 }
 
 // FmaxMHzAtCond returns Fmax at an overridden operating point.
-func (p Profile) FmaxMHzAtCond(vdd, tempC float64) float64 {
-	return p.phys.FmaxMHz(vdd, tempC, p.Act, p.die)
+func (p *Profile) FmaxMHzAtCond(vdd, tempC float64) float64 {
+	return p.phys.FmaxMHz(vdd, tempC, &p.Act, p.die)
 }
 
 // VddMinVAtCond returns Vddmin at an overridden temperature.
-func (p Profile) VddMinVAtCond(tempC float64) float64 {
-	return p.phys.VddMinV(tempC, p.Act, p.die)
+func (p *Profile) VddMinVAtCond(tempC float64) float64 {
+	return p.phys.VddMinV(tempC, &p.Act, p.die)
 }
 
 // MeanActivity returns a scalar activity summary in [0, 1], the heat the
 // test deposits per cycle (used by the tester's thermal model).
-func (p Profile) MeanActivity() float64 {
+func (p *Profile) MeanActivity() float64 {
 	return (p.Act.ATDMean + p.Act.ToggleMean) / 2
 }
 
 // FmaxMHz returns the maximum passing clock frequency at the profile's
 // conditions.
 func (p Profile) FmaxMHz() float64 {
-	return p.phys.FmaxMHz(p.Test.Cond.VddV, p.Test.Cond.TempC, p.Act, p.die)
+	return p.phys.FmaxMHz(p.Test.Cond.VddV, p.Test.Cond.TempC, &p.Act, p.die)
 }
 
 // VddMinV returns the minimum passing supply voltage at the profile's
 // conditions.
 func (p Profile) VddMinV() float64 {
-	return p.phys.VddMinV(p.Test.Cond.TempC, p.Act, p.die)
+	return p.phys.VddMinV(p.Test.Cond.TempC, &p.Act, p.die)
 }
 
 // EffectiveVdd returns the droop-corrected on-die supply at the profile's
 // conditions.
 func (p Profile) EffectiveVdd() float64 {
-	return p.phys.EffectiveVdd(p.Test.Cond.VddV, p.Test.Cond.TempC, p.Act, p.die)
+	return p.phys.EffectiveVdd(p.Test.Cond.VddV, p.Test.Cond.TempC, &p.Act, p.die)
 }
 
 // Ridge exposes the weakness-interaction activation for analysis tooling.
-func (p Profile) Ridge() float64 { return p.phys.Ridge(p.Act) }
+func (p Profile) Ridge() float64 { return p.phys.Ridge(&p.Act) }

@@ -136,7 +136,7 @@ func smoothstep(x, lo, hi float64) float64 {
 // and bitline coupling are all simultaneously high. March patterns saturate
 // only the toggle term; each random pattern style maxes at most two terms;
 // only a directed search (the paper's NN+GA) assembles all four.
-func (p Physics) Ridge(act Activity) float64 {
+func (p *Physics) Ridge(act *Activity) float64 {
 	a := smoothstep(act.ATDPeak, p.RidgeATDLo, p.RidgeATDHi)
 	t := smoothstep(act.TogglePeak, p.RidgeTogLo, p.RidgeTogHi)
 	s := smoothstep(act.SSNSustained, p.RidgeSSNLo, p.RidgeSSNHi)
@@ -146,7 +146,7 @@ func (p Physics) Ridge(act Activity) float64 {
 
 // EffectiveVdd returns the on-die supply after static IR drop and dynamic
 // SSN droop under the given activity and temperature.
-func (p Physics) EffectiveVdd(vdd, tempC float64, act Activity, die *Die) float64 {
+func (p *Physics) EffectiveVdd(vdd, tempC float64, act *Activity, die *Die) float64 {
 	leak := p.LeakTempGain * math.Max(0, tempC-25) / 100 * die.LeakageFactor()
 	meanAct := (act.ATDMean+act.ToggleMean)/2 + leak
 	drop := p.IRDropVPerAct*meanAct + p.SSNDroopV*act.SSNPeak
@@ -157,7 +157,7 @@ func (p Physics) EffectiveVdd(vdd, tempC float64, act Activity, die *Die) float6
 // for the given operating point, activity and die. The specification
 // minimum is SpecTDQNS; smaller windows are worse and the minimum over all
 // tests is the worst case the paper hunts.
-func (p Physics) TDQWindowNS(vdd, tempC, clockMHz float64, act Activity, die *Die) float64 {
+func (p *Physics) TDQWindowNS(vdd, tempC, clockMHz float64, act *Activity, die *Die) float64 {
 	vddEff := p.EffectiveVdd(vdd, tempC, act, die)
 	w := p.TDQBaseNS + die.TDQOffsetNS()
 	w += p.TDQVddSlopeNS * (vddEff - 1.8)
@@ -179,7 +179,7 @@ func (p Physics) TDQWindowNS(vdd, tempC, clockMHz float64, act Activity, die *Di
 // FmaxMHz evaluates the maximum passing clock frequency for the given
 // operating point and activity. The device passes below Fmax and fails
 // above it (eq. 3 orientation).
-func (p Physics) FmaxMHz(vdd, tempC float64, act Activity, die *Die) float64 {
+func (p *Physics) FmaxMHz(vdd, tempC float64, act *Activity, die *Die) float64 {
 	vddEff := p.EffectiveVdd(vdd, tempC, act, die)
 	f := p.FmaxBaseMHz / die.SpeedFactor()
 	f += p.FmaxVddSlope * (vddEff - 1.8)
@@ -193,7 +193,7 @@ func (p Physics) FmaxMHz(vdd, tempC float64, act Activity, die *Die) float64 {
 
 // VddMinV evaluates the minimum passing supply voltage. The device passes
 // above Vddmin and fails below it (eq. 4 orientation).
-func (p Physics) VddMinV(tempC float64, act Activity, die *Die) float64 {
+func (p *Physics) VddMinV(tempC float64, act *Activity, die *Die) float64 {
 	v := p.VddMinBaseV - die.TDQOffsetNS()*0.01
 	v += p.VddMinSSNGain * act.SSNPeak
 	v += p.VddMinATDGain * act.ATDPeak

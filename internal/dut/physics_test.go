@@ -38,7 +38,7 @@ func TestSmoothstepMonotoneProperty(t *testing.T) {
 func TestRidgeRequiresAllFourTerms(t *testing.T) {
 	p := DefaultPhysics()
 	full := Activity{ATDPeak: 1, TogglePeak: 1, SSNSustained: 1, CouplingScore: 1}
-	if got := p.Ridge(full); got != 1 {
+	if got := p.Ridge(&full); got != 1 {
 		t.Errorf("fully coordinated activity ridge = %g, want 1", got)
 	}
 	// Zeroing any one term must kill the ridge.
@@ -48,7 +48,7 @@ func TestRidgeRequiresAllFourTerms(t *testing.T) {
 		"no-ssn":      {ATDPeak: 1, TogglePeak: 1, CouplingScore: 1},
 		"no-coupling": {ATDPeak: 1, TogglePeak: 1, SSNSustained: 1},
 	} {
-		if got := p.Ridge(act); got != 0 {
+		if got := p.Ridge(&act); got != 0 {
 			t.Errorf("%s ridge = %g, want 0", name, got)
 		}
 	}
@@ -57,8 +57,8 @@ func TestRidgeRequiresAllFourTerms(t *testing.T) {
 func TestEffectiveVddDropsWithActivity(t *testing.T) {
 	p := DefaultPhysics()
 	die := NewDie(0, CornerTypical)
-	idle := p.EffectiveVdd(1.8, 25, Activity{}, die)
-	busy := p.EffectiveVdd(1.8, 25, Activity{ATDMean: 0.8, ToggleMean: 0.8, SSNPeak: 0.8}, die)
+	idle := p.EffectiveVdd(1.8, 25, &Activity{}, die)
+	busy := p.EffectiveVdd(1.8, 25, &Activity{ATDMean: 0.8, ToggleMean: 0.8, SSNPeak: 0.8}, die)
 	if idle != 1.8 {
 		t.Errorf("idle effective Vdd = %g, want 1.8", idle)
 	}
@@ -70,8 +70,8 @@ func TestEffectiveVddDropsWithActivity(t *testing.T) {
 func TestEffectiveVddLeakageGrowsWithTemp(t *testing.T) {
 	p := DefaultPhysics()
 	die := NewDie(0, CornerTypical)
-	cold := p.EffectiveVdd(1.8, 25, Activity{}, die)
-	hot := p.EffectiveVdd(1.8, 125, Activity{}, die)
+	cold := p.EffectiveVdd(1.8, 25, &Activity{}, die)
+	hot := p.EffectiveVdd(1.8, 125, &Activity{}, die)
 	if hot >= cold {
 		t.Errorf("hot effective Vdd %g not below cold %g", hot, cold)
 	}
@@ -83,7 +83,7 @@ func TestTDQWindowMonotoneInVdd(t *testing.T) {
 	act := Activity{ATDPeak: 0.3, TogglePeak: 0.5, SSNPeak: 0.2}
 	prev := math.Inf(-1)
 	for vdd := 1.4; vdd <= 2.2; vdd += 0.05 {
-		w := p.TDQWindowNS(vdd, 25, 100, act, die)
+		w := p.TDQWindowNS(vdd, 25, 100, &act, die)
 		if w < prev {
 			t.Fatalf("T_DQ window not monotone in Vdd at %g V: %g < %g", vdd, w, prev)
 		}
@@ -94,8 +94,8 @@ func TestTDQWindowMonotoneInVdd(t *testing.T) {
 func TestTDQWindowActivityPenalty(t *testing.T) {
 	p := DefaultPhysics()
 	die := NewDie(0, CornerTypical)
-	idle := p.TDQWindowNS(1.8, 25, 100, Activity{}, die)
-	busy := p.TDQWindowNS(1.8, 25, 100, Activity{ATDPeak: 0.8, TogglePeak: 0.9, SSNPeak: 0.6}, die)
+	idle := p.TDQWindowNS(1.8, 25, 100, &Activity{}, die)
+	busy := p.TDQWindowNS(1.8, 25, 100, &Activity{ATDPeak: 0.8, TogglePeak: 0.9, SSNPeak: 0.6}, die)
 	if busy >= idle {
 		t.Errorf("busy window %g not below idle %g", busy, idle)
 	}
@@ -107,9 +107,9 @@ func TestTDQWindowActivityPenalty(t *testing.T) {
 func TestTDQWindowTempAndClock(t *testing.T) {
 	p := DefaultPhysics()
 	die := NewDie(0, CornerTypical)
-	base := p.TDQWindowNS(1.8, 25, 100, Activity{}, die)
-	hot := p.TDQWindowNS(1.8, 125, 100, Activity{}, die)
-	fast := p.TDQWindowNS(1.8, 25, 133, Activity{}, die)
+	base := p.TDQWindowNS(1.8, 25, 100, &Activity{}, die)
+	hot := p.TDQWindowNS(1.8, 125, 100, &Activity{}, die)
+	fast := p.TDQWindowNS(1.8, 25, 133, &Activity{}, die)
 	if hot >= base {
 		t.Errorf("hot window %g not below 25°C window %g", hot, base)
 	}
@@ -121,9 +121,9 @@ func TestTDQWindowTempAndClock(t *testing.T) {
 func TestTDQWindowCornerOrdering(t *testing.T) {
 	p := DefaultPhysics()
 	act := Activity{TogglePeak: 0.5}
-	wFF := p.TDQWindowNS(1.8, 25, 100, act, NewDie(0, CornerFast))
-	wTT := p.TDQWindowNS(1.8, 25, 100, act, NewDie(1, CornerTypical))
-	wSS := p.TDQWindowNS(1.8, 25, 100, act, NewDie(2, CornerSlow))
+	wFF := p.TDQWindowNS(1.8, 25, 100, &act, NewDie(0, CornerFast))
+	wTT := p.TDQWindowNS(1.8, 25, 100, &act, NewDie(1, CornerTypical))
+	wSS := p.TDQWindowNS(1.8, 25, 100, &act, NewDie(2, CornerSlow))
 	if !(wFF > wTT && wTT > wSS) {
 		t.Errorf("corner windows not ordered FF > TT > SS: %g, %g, %g", wFF, wTT, wSS)
 	}
@@ -133,8 +133,8 @@ func TestLowVddKneeDegrades(t *testing.T) {
 	p := DefaultPhysics()
 	die := NewDie(0, CornerTypical)
 	// The slope below the knee must exceed the linear slope above it.
-	above := p.TDQWindowNS(1.70, 25, 100, Activity{}, die) - p.TDQWindowNS(1.65, 25, 100, Activity{}, die)
-	below := p.TDQWindowNS(1.50, 25, 100, Activity{}, die) - p.TDQWindowNS(1.45, 25, 100, Activity{}, die)
+	above := p.TDQWindowNS(1.70, 25, 100, &Activity{}, die) - p.TDQWindowNS(1.65, 25, 100, &Activity{}, die)
+	below := p.TDQWindowNS(1.50, 25, 100, &Activity{}, die) - p.TDQWindowNS(1.45, 25, 100, &Activity{}, die)
 	if below <= above {
 		t.Errorf("no sense-amp knee: slope below %g ≤ slope above %g", below, above)
 	}
@@ -143,8 +143,8 @@ func TestLowVddKneeDegrades(t *testing.T) {
 func TestFmaxMonotoneInVdd(t *testing.T) {
 	p := DefaultPhysics()
 	die := NewDie(0, CornerTypical)
-	lo := p.FmaxMHz(1.5, 25, Activity{}, die)
-	hi := p.FmaxMHz(2.0, 25, Activity{}, die)
+	lo := p.FmaxMHz(1.5, 25, &Activity{}, die)
+	hi := p.FmaxMHz(2.0, 25, &Activity{}, die)
 	if hi <= lo {
 		t.Errorf("Fmax not increasing with Vdd: %g at 1.5V, %g at 2.0V", lo, hi)
 	}
@@ -153,8 +153,8 @@ func TestFmaxMonotoneInVdd(t *testing.T) {
 func TestFmaxActivityPenalty(t *testing.T) {
 	p := DefaultPhysics()
 	die := NewDie(0, CornerTypical)
-	idle := p.FmaxMHz(1.8, 25, Activity{}, die)
-	busy := p.FmaxMHz(1.8, 25, Activity{ATDPeak: 1, TogglePeak: 1, SSNPeak: 1}, die)
+	idle := p.FmaxMHz(1.8, 25, &Activity{}, die)
+	busy := p.FmaxMHz(1.8, 25, &Activity{ATDPeak: 1, TogglePeak: 1, SSNPeak: 1}, die)
 	if busy >= idle {
 		t.Errorf("busy Fmax %g not below idle %g", busy, idle)
 	}
@@ -166,8 +166,8 @@ func TestFmaxActivityPenalty(t *testing.T) {
 func TestVddMinRisesWithActivity(t *testing.T) {
 	p := DefaultPhysics()
 	die := NewDie(0, CornerTypical)
-	idle := p.VddMinV(25, Activity{}, die)
-	busy := p.VddMinV(25, Activity{ATDPeak: 1, TogglePeak: 1, SSNPeak: 1, SSNSustained: 1, CouplingScore: 1}, die)
+	idle := p.VddMinV(25, &Activity{}, die)
+	busy := p.VddMinV(25, &Activity{ATDPeak: 1, TogglePeak: 1, SSNPeak: 1, SSNSustained: 1, CouplingScore: 1}, die)
 	if busy <= idle {
 		t.Errorf("busy Vddmin %g not above idle %g", busy, idle)
 	}
@@ -185,7 +185,7 @@ func TestRidgeInUnitRangeProperty(t *testing.T) {
 			SSNSustained:  math.Abs(math.Mod(c, 1)),
 			CouplingScore: math.Abs(math.Mod(d, 1)),
 		}
-		r := p.Ridge(act)
+		r := p.Ridge(&act)
 		return r >= 0 && r <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {

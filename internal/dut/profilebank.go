@@ -3,6 +3,7 @@ package dut
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/testgen"
 )
@@ -43,9 +44,9 @@ type ProfileBank struct {
 	// per call dominates the clean-die fast path.
 	fps map[seqIdent]uint64
 
-	hits     int64
-	computed int64
-	bypassed int64
+	hits     atomic.Int64
+	computed atomic.Int64
+	bypassed atomic.Int64
 }
 
 // seqIdent identifies a sequence by its backing array: same first-element
@@ -76,25 +77,33 @@ func NewProfileBank(geom Geometry, phys Physics) (*ProfileBank, error) {
 	}, nil
 }
 
-// seqKey returns the sequence's bank key, memoizing the fingerprint by
-// backing-array identity. The memo carries no validity claim — Validate
-// still runs before any execution.
-func (b *ProfileBank) seqKey(s testgen.Sequence) uint64 {
-	if len(s) == 0 {
-		return s.Fingerprint()
+// lookup returns the sequence's bank key and its banked entry, if any,
+// memoizing the fingerprint by backing-array identity. A sequence seen
+// before costs one shared lock: the memo and the entry map are read under
+// the same RLock, so concurrent clean-die hits never serialize. The memo
+// carries no validity claim — Validate still runs before any execution.
+func (b *ProfileBank) lookup(s testgen.Sequence) (key uint64, e bankEntry, ok bool) {
+	var id seqIdent // the zero identity (empty sequence) is never memoized
+	if len(s) > 0 {
+		id = seqIdent{first: &s[0], n: len(s)}
 	}
-	id := seqIdent{first: &s[0], n: len(s)}
 	b.mu.RLock()
-	key, ok := b.fps[id]
+	key, known := b.fps[id]
+	if known {
+		e, ok = b.entries[key]
+	}
 	b.mu.RUnlock()
-	if ok {
-		return key
+	if known {
+		return key, e, ok
 	}
 	key = s.Fingerprint()
 	b.mu.Lock()
-	b.fps[id] = key
+	if len(s) > 0 {
+		b.fps[id] = key
+	}
+	e, ok = b.entries[key]
 	b.mu.Unlock()
-	return key
+	return key, e, ok
 }
 
 // refDie is the clean reference die bank executions run against. Its
@@ -109,21 +118,14 @@ func (b *ProfileBank) Profile(dev *Device, t testgen.Test) (Profile, error) {
 	if dev.Die().WeakCellCount() > 0 || dev.Geometry() != b.geom {
 		// Weak cells make execution supply- and die-dependent; a foreign
 		// geometry makes the banked activity wrong. Full per-die path.
-		b.mu.Lock()
-		b.bypassed++
-		b.mu.Unlock()
+		b.bypassed.Add(1)
 		return dev.Profile(t)
 	}
-	key := b.seqKey(t.Seq)
-	b.mu.RLock()
-	e, ok := b.entries[key]
-	b.mu.RUnlock()
+	key, e, ok := b.lookup(t.Seq)
 	if ok {
 		// A banked entry under this key means the identical sequence already
 		// validated and executed; skip both.
-		b.mu.Lock()
-		b.hits++
-		b.mu.Unlock()
+		b.hits.Add(1)
 	} else {
 		if err := t.Seq.Validate(b.geom.Words()); err != nil {
 			return Profile{}, fmt.Errorf("dut: profiling %s: %w", t.Name, err)
@@ -138,10 +140,10 @@ func (b *ProfileBank) Profile(dev *Device, t testgen.Test) (Profile, error) {
 		e = bankEntry{act: act, fn: fn}
 		b.mu.Lock()
 		b.entries[key] = e
-		b.computed++
+		b.computed.Add(1)
 		b.mu.Unlock()
 	}
-	return Profile{Test: t, Act: e.act, Func: e.fn, die: dev.Die(), phys: dev.Physics()}, nil
+	return Profile{Test: t, Act: e.act, Func: e.fn, die: dev.die, phys: &dev.phys}, nil
 }
 
 // Len returns the number of banked sequences.
@@ -152,23 +154,11 @@ func (b *ProfileBank) Len() int {
 }
 
 // Hits returns how many Profile calls reused a banked execution.
-func (b *ProfileBank) Hits() int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.hits
-}
+func (b *ProfileBank) Hits() int64 { return b.hits.Load() }
 
 // Computed returns how many sequences were executed into the bank.
-func (b *ProfileBank) Computed() int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.computed
-}
+func (b *ProfileBank) Computed() int64 { return b.computed.Load() }
 
 // Bypassed returns how many Profile calls fell back to the per-die path
 // (weak cells or geometry mismatch).
-func (b *ProfileBank) Bypassed() int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.bypassed
-}
+func (b *ProfileBank) Bypassed() int64 { return b.bypassed.Load() }

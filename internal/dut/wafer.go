@@ -52,8 +52,11 @@ type WaferLot struct {
 	seed     int64
 	wafers   int
 	perWafer int
-	side     int // die-grid side length per wafer
+	cells    []cell // within-wafer die j sits at cells[j]; shared by every wafer
 }
+
+// cell is a die site's center in normalized wafer coordinates.
+type cell struct{ x, y float64 }
 
 // NewWaferLot builds a lot of `wafers` wafers carrying `diesPerWafer` dies
 // each. The seed selects the lot; the same (seed, wafers, diesPerWafer)
@@ -72,23 +75,28 @@ func NewWaferLot(seed int64, wafers, diesPerWafer int) (*WaferLot, error) {
 	if side < 1 {
 		side = 1
 	}
-	for usableCells(side) < diesPerWafer {
+	cells := onWaferCells(side, diesPerWafer)
+	for len(cells) < diesPerWafer {
 		side++
+		cells = onWaferCells(side, diesPerWafer)
 	}
-	return &WaferLot{seed: seed, wafers: wafers, perWafer: diesPerWafer, side: side}, nil
+	return &WaferLot{seed: seed, wafers: wafers, perWafer: diesPerWafer, cells: cells}, nil
 }
 
-// usableCells counts grid cells whose center is on the wafer.
-func usableCells(side int) int {
-	n := 0
-	for y := 0; y < side; y++ {
-		for x := 0; x < side; x++ {
+// onWaferCells lists the centers of the first n grid cells (row-major)
+// that lie on the wafer — fewer when the grid holds fewer. Every wafer of
+// a lot shares the layout, so the table is built once per lot and a die's
+// site is an index instead of a grid scan.
+func onWaferCells(side, n int) []cell {
+	cells := make([]cell, 0, n)
+	for y := 0; y < side && len(cells) < n; y++ {
+		for x := 0; x < side && len(cells) < n; x++ {
 			if cx, cy := cellCenter(side, x, y); cx*cx+cy*cy <= waferEdge*waferEdge {
-				n++
+				cells = append(cells, cell{cx, cy})
 			}
 		}
 	}
-	return n
+	return cells
 }
 
 // cellCenter maps grid cell (x, y) to normalized wafer coordinates in
@@ -115,23 +123,11 @@ func (l *WaferLot) Position(i int) (wafer int, x, y float64) {
 	return wafer, x, y
 }
 
-// cellXY maps a within-wafer die index to its cell center, skipping
-// off-wafer cells in row-major order.
+// cellXY maps a within-wafer die index to its cell center: the j-th
+// on-wafer grid cell in row-major order.
 func (l *WaferLot) cellXY(j int) (float64, float64) {
-	seen := 0
-	for y := 0; y < l.side; y++ {
-		for x := 0; x < l.side; x++ {
-			cx, cy := cellCenter(l.side, x, y)
-			if cx*cx+cy*cy > waferEdge*waferEdge {
-				continue
-			}
-			if seen == j {
-				return cx, cy
-			}
-			seen++
-		}
-	}
-	return 0, 0 // unreachable for valid indices (side is sized for perWafer)
+	c := l.cells[j]
+	return c.x, c.y
 }
 
 // waferParams are one wafer's systematic-variation coefficients, drawn

@@ -1,6 +1,7 @@
 package dut
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -124,6 +125,111 @@ func TestWaferLotDefectivity(t *testing.T) {
 	}
 	if frac := float64(weak) / float64(l.Len()); frac > 0.05 {
 		t.Errorf("weak-die fraction %.4f implausibly high", frac)
+	}
+}
+
+// refGridSide and refCellXY are the original per-die layout: size the grid
+// by counting on-wafer cells, then find within-wafer die j by rescanning
+// the grid in row-major order. WaferLot's per-lot cell table must agree
+// with them exactly.
+func refGridSide(diesPerWafer int) int {
+	side := int(math.Ceil(math.Sqrt(float64(diesPerWafer) / (math.Pi / 4))))
+	if side < 1 {
+		side = 1
+	}
+	usable := func(side int) int {
+		n := 0
+		for y := 0; y < side; y++ {
+			for x := 0; x < side; x++ {
+				if cx, cy := cellCenter(side, x, y); cx*cx+cy*cy <= waferEdge*waferEdge {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for usable(side) < diesPerWafer {
+		side++
+	}
+	return side
+}
+
+func refCellXY(side, j int) (float64, float64) {
+	seen := 0
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			cx, cy := cellCenter(side, x, y)
+			if cx*cx+cy*cy > waferEdge*waferEdge {
+				continue
+			}
+			if seen == j {
+				return cx, cy
+			}
+			seen++
+		}
+	}
+	return 0, 0
+}
+
+func TestWaferCellTableMatchesGridScan(t *testing.T) {
+	// The reference depends only on (side, j), and many lot sizes share a
+	// side, so memoize it per side to keep the sweep fast.
+	ref := map[int][]cell{}
+	refAt := func(side, j int) cell {
+		r := ref[side]
+		for len(r) <= j {
+			x, y := refCellXY(side, len(r))
+			r = append(r, cell{x, y})
+		}
+		ref[side] = r
+		return r[j]
+	}
+	sizes := make([]int, 0, 2010)
+	for n := 1; n <= 2000; n++ {
+		sizes = append(sizes, n)
+	}
+	// Sizes beyond 2000 whose first side estimate is too small, so the
+	// sizing loop grows the grid (38, 113, 449 and others do below 2000).
+	sizes = append(sizes, 3314, 3318)
+	for _, n := range sizes {
+		l, err := NewWaferLot(int64(n), 2, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		side := refGridSide(n)
+		for j := 0; j < n; j++ {
+			want := refAt(side, j)
+			if x, y := l.cellXY(j); x != want.x || y != want.y {
+				t.Fatalf("%d dies/wafer: cellXY(%d) = (%v, %v), reference (%v, %v)", n, j, x, y, want.x, want.y)
+			}
+			for wafer := 0; wafer < 2; wafer++ {
+				i := wafer*n + j
+				if w, x, y := l.Position(i); w != wafer || x != want.x || y != want.y {
+					t.Fatalf("%d dies/wafer: Position(%d) = (%d, %v, %v), reference (%d, %v, %v)",
+						n, i, w, x, y, wafer, want.x, want.y)
+				}
+			}
+		}
+	}
+}
+
+func TestWaferLotDiesUnchanged(t *testing.T) {
+	// Digest of every 7th die's fingerprint and position on a 4500-die lot,
+	// recorded with the grid-rescan layout the cell table replaced.
+	const want = 0x70a1481246779215
+	l, err := NewWaferLot(2005, 3, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := uint64(14695981039346656037)
+	for i := 0; i < l.Len(); i += 7 {
+		w, x, y := l.Position(i)
+		for _, v := range []uint64{l.Die(i).Fingerprint(), uint64(w), math.Float64bits(x), math.Float64bits(y)} {
+			h = (h ^ v) * 1099511628211
+		}
+	}
+	if h != want {
+		t.Errorf("sampled lot digest %#x, want %#x", h, uint64(want))
 	}
 }
 
@@ -316,5 +422,83 @@ func TestProfileBankThroughATEProfiler(t *testing.T) {
 	banked := run(bank.Profile)
 	if direct.Act != banked.Act || direct.TDQWindowNS() != banked.TDQWindowNS() {
 		t.Error("profiler hook path diverges from direct profiling")
+	}
+}
+
+func TestProfileBankConcurrentCounts(t *testing.T) {
+	// Concurrent clean-die hits share one read lock; the counters must
+	// still add up exactly and every banked profile must equal the direct
+	// one. Run under -race.
+	geom := DefaultGeometry()
+	bank, err := NewProfileBank(geom, DefaultPhysics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := make([]testgen.Test, 3)
+	for k := range tests {
+		seq := testgen.Sequence{
+			{Op: testgen.OpWrite, Addr: uint32(k), Data: 0xF0F0F0F0},
+			{Op: testgen.OpRead, Addr: uint32(k)},
+		}
+		tests[k] = testgen.Test{Name: fmt.Sprint("t", k), Seq: seq, Cond: testgen.NominalConditions()}
+	}
+	clean := NewDie(0, CornerTypical)
+	weak := NewDie(1, CornerTypical, WithWeakCell(0, 2.5))
+	want := make([]Profile, len(tests))
+	for k, tst := range tests {
+		dev, err := NewDevice(geom, clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[k], err = dev.Profile(tst); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const goroutines, rounds = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			die := clean
+			if g == 0 {
+				die = weak
+			}
+			dev, err := NewDevice(geom, die)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for r := 0; r < rounds; r++ {
+				for k, tst := range tests {
+					p, err := bank.Profile(dev, tst)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if g != 0 && (p.Act != want[k].Act || p.TDQWindowNS() != want[k].TDQWindowNS()) {
+						t.Errorf("goroutine %d test %d: banked profile differs from direct", g, k)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	calls := int64(rounds * len(tests))
+	if got := bank.Bypassed(); got != calls {
+		t.Errorf("Bypassed = %d, want %d (the weak die's calls)", got, calls)
+	}
+	if got := bank.Hits() + bank.Computed(); got != (goroutines-1)*calls {
+		t.Errorf("Hits+Computed = %d, want %d clean calls", got, (goroutines-1)*calls)
+	}
+	// Racing first misses may each execute, but never more than once per
+	// goroutine and sequence.
+	if c := bank.Computed(); c < int64(len(tests)) || c > int64((goroutines-1)*len(tests)) {
+		t.Errorf("Computed = %d, want %d..%d", c, len(tests), (goroutines-1)*len(tests))
+	}
+	if bank.Len() != len(tests) {
+		t.Errorf("Len = %d, want %d", bank.Len(), len(tests))
 	}
 }
