@@ -7,7 +7,8 @@
 # (fig. 5 + Table 1 ns/op and measurement counts, plus the 8-worker fig. 5
 # fleet run, whose allocs/op ceiling is a hard gate), BENCH_obs.json
 # (instrumented-flow ns/op, cache hit rate, measurements per op) and
-# BENCH_kernels.json (neural kernel ns/op, B/op and allocs/op) and
+# BENCH_kernels.json (neural, device-profile and feature-extraction kernel
+# ns/op, B/op and allocs/op) and
 # BENCH_lot.json (streamed lot screening dies/sec across the worker ladder,
 # disk cache cold/warm). The kernel and lot passes are also hard gates:
 # allocs/op above the pinned ceilings, a streamed lot slower than 2x the
@@ -505,9 +506,13 @@ echo "== kernel benchmarks (allocation gate) =="
 # zero-allocation kernel rewrite (train 30, batch-predict 4 allocs/op); the
 # pre-rewrite path ran at 25661 and 1632. ensemble-predict dropped from 97
 # to 1 alloc/op when Vote started reusing a pooled scratch, so its ceiling
-# tightened from 300 to 8.
+# tightened from 300 to 8. Two substrate kernels of the fig. 5 hot path
+# ride along: a device profile (0 allocs/op: every array allocates its
+# execution scratch once, where the retired per-call map path took 373
+# allocations per 50 generator sequences) capped at 2, and feature
+# extraction (1 alloc/op, the returned vector) capped at 3.
 KERNELS_OUT=$(go test -run '^$' \
-	-bench '^BenchmarkLearningKernels$' \
+	-bench '^(BenchmarkLearningKernels|BenchmarkDeviceProfile|BenchmarkFeatureExtraction)$' \
 	-benchmem -benchtime 20x -timeout 10m .)
 printf '%s\n' "$KERNELS_OUT"
 printf '%s\n' "$KERNELS_OUT" | awk '
@@ -516,6 +521,8 @@ printf '%s\n' "$KERNELS_OUT" | awk '
 		ceiling["BenchmarkLearningKernels/train"] = 100
 		ceiling["BenchmarkLearningKernels/ensemble-predict"] = 8
 		ceiling["BenchmarkLearningKernels/batch-predict"] = 16
+		ceiling["BenchmarkDeviceProfile"] = 2
+		ceiling["BenchmarkFeatureExtraction"] = 3
 		fail = 0
 	}
 	/^Benchmark/ {

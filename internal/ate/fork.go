@@ -14,10 +14,11 @@ func (th *Thermal) Clone() *Thermal {
 }
 
 // Fork creates an independent tester insertion for a parallel worker: a
-// clone of the device in the socket (same die, fresh array), a private
-// noise RNG seeded with seed, the same noise/repeat/thermal configuration,
-// and zeroed cost counters. The fork shares no mutable state with the
-// parent; merge its counters back with AddStats when the worker drains.
+// clone of the device in the socket (same die and row repairs, fresh
+// array), a private noise RNG seeded with seed, the same
+// noise/repeat/thermal configuration, and zeroed cost counters. The fork
+// shares no mutable state with the parent; merge its counters back with
+// AddStats when the worker drains.
 func (a *ATE) Fork(seed int64) (*ATE, error) {
 	dev, err := a.dev.Clone()
 	if err != nil {

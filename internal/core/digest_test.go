@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"testing"
 
 	"repro/internal/ate"
 )
@@ -51,4 +53,46 @@ func replicationDigest(rep *ReplicationReport) string {
 // lotDigest pins a whole lot report.
 func lotDigest(rep *LotReport) string {
 	return digest(*rep)
+}
+
+// proposeSeedsDigest pins a ranked candidate list: names plus the exact
+// severity and confidence bits.
+func proposeSeedsDigest(cands []Candidate) string {
+	parts := make([]any, 0, 3*len(cands))
+	for _, c := range cands {
+		parts = append(parts, c.Test.Name, math.Float64bits(c.Severity), math.Float64bits(c.Confidence))
+	}
+	return digest(parts...)
+}
+
+// recordedProposeSeedsDigest was recorded when ProposeSeeds still
+// extracted every candidate's features serially on the coordinator:
+// quickConfig(41) with the whole 300-candidate pool returned, so the digest
+// covers every rank, not just the selected seeds.
+const recordedProposeSeedsDigest = "60a99c98547384cb9d20615eb7574c8b6017da3cbf07cd8b5ee41890ee2872fd"
+
+func TestProposeSeedsDigest(t *testing.T) {
+	for _, parallelism := range equivalenceFleetSizes {
+		cfg := quickConfig(41)
+		cfg.SeedCount = cfg.CandidatePool
+		cfg.Parallelism = parallelism
+		char, err := NewCharacterizer(cfg, newTester(t, 41))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := char.Learn(); err != nil {
+			t.Fatal(err)
+		}
+		cands, err := char.ProposeSeeds()
+		char.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cands) != cfg.CandidatePool {
+			t.Fatalf("parallelism=%d: %d candidates, want %d", parallelism, len(cands), cfg.CandidatePool)
+		}
+		if got := proposeSeedsDigest(cands); got != recordedProposeSeedsDigest {
+			t.Errorf("parallelism=%d: ProposeSeeds digest %s, recorded %s", parallelism, got, recordedProposeSeedsDigest)
+		}
+	}
 }

@@ -40,8 +40,8 @@ type parallelEvaluator struct {
 	budget      int   // full-range search cost, the per-search baseline
 
 	// The persistent pool and the per-worker insertions that survive
-	// across generations (forked once, reseeded per task, with the device's
-	// execution scratch armed, so no generation pays a fork).
+	// across generations (forked once, reseeded per task, so no generation
+	// pays a fork).
 	fleet      *parallel.Fleet
 	insertions []*ate.ATE
 
@@ -78,17 +78,14 @@ func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
 
 // insertionFor returns worker w's persistent forked insertion, forking it
 // on first use. Reseed makes each task hermetic, so reusing the insertion
-// across batches is bit-identical to a fresh fork per task; the
-// device-level execution scratch (value-identical, see
-// dut.Memory.EnableExecScratch) is what makes the long-lived insertion
-// cheaper than a transient one.
+// across batches is bit-identical to a fresh fork per task, and the
+// device's execution scratch amortizes over every task it measures.
 func (e *parallelEvaluator) insertionFor(w int) (*ate.ATE, error) {
 	if e.insertions[w] == nil {
 		wk, err := e.c.ate.Fork(e.c.cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: forking tester: %w", err)
 		}
-		wk.Device().EnableExecScratch()
 		e.insertions[w] = wk
 	}
 	return e.insertions[w], nil
@@ -138,9 +135,14 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 		e.vals = make([]float64, len(tests))
 		e.found = make([]bool, len(tests))
 	}
+	// Fingerprinting is pure per-test work: hash on the fleet into
+	// index-addressed slots, then resolve serially.
 	fps := e.fps[:len(tests)]
-	for i, tt := range tests {
-		fps[i] = tt.Fingerprint()
+	if err := parallel.ForEachOn(e.fleet, len(tests), func(i int) error {
+		fps[i] = tests[i].Fingerprint()
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	vals, found := e.vals[:len(tests)], e.found[:len(tests)]
 	if e.cache != nil {

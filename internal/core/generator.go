@@ -27,10 +27,11 @@ type Candidate struct {
 // severity ties toward higher confidence.
 //
 // Candidate generation is serial (the generator owns one random stream),
-// but the surrogate scoring fans across the worker pool: each worker votes
-// with its own ensemble scratch arena (the trained weights are read-only),
-// writing severities into index-addressed slots, so the ranking is
-// bit-identical for any Parallelism.
+// but feature extraction and surrogate scoring fan across the worker pool:
+// each worker encodes a candidate and votes with its own ensemble scratch
+// arena (the trained weights are read-only), writing severities into
+// index-addressed slots, so the ranking is bit-identical for any
+// Parallelism.
 func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 	if c.learned == nil || c.learned.Ensemble == nil {
 		return nil, fmt.Errorf("core: no trained ensemble; run Learn or LoadWeights first")
@@ -42,14 +43,11 @@ func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 	limits := c.gen.Limits()
 	ens := c.learned.Ensemble
 	pool := make([]Candidate, c.cfg.CandidatePool)
-	feats := make([][]float64, c.cfg.CandidatePool)
 	for i := range pool {
-		t := c.gen.Next()
-		pool[i].Test = t
-		feats[i] = testgen.ExtractFeatures(t, limits)
+		pool[i].Test = c.gen.Next()
 	}
 	score := func(s *neural.EnsembleScratch, i int) error {
-		pred, conf, err := ens.VoteInto(s, feats[i])
+		pred, conf, err := ens.VoteInto(s, testgen.ExtractFeatures(pool[i].Test, limits))
 		if err != nil {
 			return fmt.Errorf("core: scoring candidate %d: %w", i, err)
 		}

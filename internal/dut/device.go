@@ -2,6 +2,7 @@ package dut
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/testgen"
 )
@@ -32,12 +33,19 @@ func NewDeviceWithPhysics(geom Geometry, die *Die, phys Physics) (*Device, error
 }
 
 // Clone returns an independent device around the same die: a fresh memory
-// array with the same geometry and the same physics constants. The die is
+// array with the same geometry, the same physics constants and the same row
+// repairs (they are permanent eFuse state of the silicon). The die is
 // shared — it is read-only during measurement — so a clone measures the
 // same silicon without sharing any mutable state, which is what a parallel
 // worker needs.
 func (d *Device) Clone() (*Device, error) {
-	return NewDeviceWithPhysics(d.mem.Geometry(), d.die, d.phys)
+	c, err := NewDeviceWithPhysics(d.mem.Geometry(), d.die, d.phys)
+	if err != nil {
+		return nil, err
+	}
+	c.mem.rowRemap = maps.Clone(d.mem.rowRemap)
+	copy(c.mem.sparesUsed, d.mem.sparesUsed)
+	return c, nil
 }
 
 // Retarget swaps a different die into the device, reusing the memory array
@@ -52,12 +60,6 @@ func (d *Device) Retarget(die *Die) error {
 	d.die = die
 	return nil
 }
-
-// EnableExecScratch arms the array's persistent execution scratch (see
-// Memory.EnableExecScratch): worth it for long-lived worker devices that
-// profile thousands of sequences; results are unchanged. Clones do not
-// inherit it — a fresh array starts allocation-free.
-func (d *Device) EnableExecScratch() { d.mem.EnableExecScratch() }
 
 // Die returns the device's die.
 func (d *Device) Die() *Die { return d.die }

@@ -104,17 +104,16 @@ type Memory struct {
 	rowRemap   map[int]uint32
 	sparesUsed []int
 
-	// scratch, when enabled, replaces ExecuteObserved's per-call maps with
-	// dense reusable arrays (see EnableExecScratch).
+	// scratch is the dense observation state ExecuteObserved reuses run
+	// after run, allocated on the first execution.
 	scratch *execScratch
 }
 
 // execScratch is the reusable observation state of one execution: dense
 // per-(bank,row) activation counts with a touched list for O(touched)
-// clearing, and a per-address epoch stamp that dedupes failing addresses
-// without a per-call map. Consumption is order-independent (the row counts
-// feed a max reduction, the stamps a first-seen check), so results are
-// bit-identical to the map-based path.
+// clearing, and a per-address epoch stamp that dedupes failing addresses.
+// Both are consumed order-independently (the row counts feed a max
+// reduction, the stamps a first-seen check).
 type execScratch struct {
 	rowHits  []int32  // [banks*rows] activation counts of the current run
 	rowsHit  []int32  // touched rowHits slots, cleared at the next run
@@ -122,27 +121,20 @@ type execScratch struct {
 	epoch    uint32
 }
 
-// EnableExecScratch arms the persistent execution scratch: every subsequent
-// Execute reuses one dense workspace instead of allocating two maps per
-// call. Results are bit-identical with or without it (pinned by the
-// exec-scratch equivalence property test); the trade is a fixed ~20 KiB of
-// per-device memory, which is why it is opt-in — long-lived worker
-// insertions (fleet workers, lot screeners) enable it, transient forks keep
-// the allocation-free construction.
-func (m *Memory) EnableExecScratch() {
-	if m.scratch != nil {
-		return
+// begin readies the scratch for one execution, allocating it on first use
+// (about 18 KiB on the default geometry, once per memory): clear the
+// previous run's touched row counts and advance the fail-stamp epoch
+// (clearing stamps only on the rare wrap).
+func (m *Memory) begin() *execScratch {
+	sc := m.scratch
+	if sc == nil {
+		sc = &execScratch{
+			rowHits:  make([]int32, m.geom.Banks*m.geom.Rows),
+			rowsHit:  make([]int32, 0, m.geom.Banks*m.geom.Rows),
+			failSeen: make([]uint32, m.geom.Words()),
+		}
+		m.scratch = sc
 	}
-	m.scratch = &execScratch{
-		rowHits:  make([]int32, m.geom.Banks*m.geom.Rows),
-		failSeen: make([]uint32, m.geom.Words()),
-	}
-}
-
-// begin readies the scratch for one execution: clear the previous run's
-// touched row counts and advance the fail-stamp epoch (clearing stamps only
-// on the rare wrap).
-func (sc *execScratch) begin() {
 	for _, slot := range sc.rowsHit {
 		sc.rowHits[slot] = 0
 	}
@@ -152,6 +144,7 @@ func (sc *execScratch) begin() {
 		clear(sc.failSeen)
 		sc.epoch = 1
 	}
+	return sc
 }
 
 // NewMemory allocates a zero-initialized array over the given geometry.
@@ -273,7 +266,6 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 		atdPeak, togPeak, ssnPeak float64
 		conflicts, reads          int
 		coupling                  float64
-		rowHits                   map[int]int
 		winATD, winTog, winSSN    [activityWindow]float64
 		sumATDw, sumTogw, sumSSNw float64
 		wIdx                      int
@@ -281,17 +273,8 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 		sumSus                    float64
 		susIdx                    int
 		ssnSustained              float64
-		failSeen                  map[uint32]bool
 	)
-	// With the persistent scratch enabled the two per-call maps are replaced
-	// by its dense arrays; the aggregation below is identical either way.
-	sc := m.scratch
-	if sc != nil {
-		sc.begin()
-	} else {
-		rowHits = make(map[int]int)
-		failSeen = make(map[uint32]bool)
-	}
+	sc := m.begin()
 
 	for i, v := range seq {
 		addr := v.Addr % words
@@ -335,13 +318,8 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 				if fr.FirstMismatch < 0 {
 					fr.FirstMismatch = i
 				}
-				if sc != nil {
-					if sc.failSeen[addr] != sc.epoch {
-						sc.failSeen[addr] = sc.epoch
-						fr.FailingAddrs = append(fr.FailingAddrs, addr)
-					}
-				} else if !failSeen[addr] {
-					failSeen[addr] = true
+				if sc.failSeen[addr] != sc.epoch {
+					sc.failSeen[addr] = sc.epoch
 					fr.FailingAddrs = append(fr.FailingAddrs, addr)
 				}
 			}
@@ -408,15 +386,11 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 				conflicts++
 			}
 			m.lastRowInBank[bank] = row
-			if sc != nil {
-				slot := int32(bank*m.geom.Rows + row)
-				if sc.rowHits[slot] == 0 {
-					sc.rowsHit = append(sc.rowsHit, slot)
-				}
-				sc.rowHits[slot]++
-			} else {
-				rowHits[bank*m.geom.Rows+row]++
+			slot := int32(bank*m.geom.Rows + row)
+			if sc.rowHits[slot] == 0 {
+				sc.rowsHit = append(sc.rowsHit, slot)
 			}
+			sc.rowHits[slot]++
 		}
 		_ = col
 
@@ -438,17 +412,9 @@ func (m *Memory) ExecuteObserved(seq testgen.Sequence, vddEff float64, observe f
 	act.CouplingScore = clamp01(coupling / n * 4)
 	act.ReadRatio = float64(reads) / n
 	maxRow := 0
-	if sc != nil {
-		for _, slot := range sc.rowsHit {
-			if c := int(sc.rowHits[slot]); c > maxRow {
-				maxRow = c
-			}
-		}
-	} else {
-		for _, c := range rowHits {
-			if c > maxRow {
-				maxRow = c
-			}
+	for _, slot := range sc.rowsHit {
+		if c := int(sc.rowHits[slot]); c > maxRow {
+			maxRow = c
 		}
 	}
 	act.RowHammer = clamp01(float64(maxRow) / n)

@@ -1,6 +1,7 @@
 package dut
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -295,39 +296,264 @@ func randomSeq(rng *rand.Rand, words uint32, n int) testgen.Sequence {
 	return seq
 }
 
-// TestExecScratchEquivalenceProperty pins the contract EnableExecScratch
-// documents: the dense-scratch execution path is bit-identical to the
-// map-based one — same Activity, same functional result, same failing
-// address order — across random sequences reusing one scratch run after run.
+// referenceExecuteObserved is the map-based ExecuteObserved the dense
+// execution scratch replaced, kept verbatim as a test-only reference: two
+// fresh maps per call count row activations and dedupe failing addresses.
+func referenceExecuteObserved(m *Memory, seq testgen.Sequence, vddEff float64, observe func(CycleRecord)) (Activity, FunctionalResult) {
+	var act Activity
+	fr := FunctionalResult{FirstMismatch: -1}
+	if len(seq) == 0 {
+		return act, fr
+	}
+
+	addrBits := float64(m.geom.AddrBits())
+	words := m.geom.Words()
+
+	var (
+		prevAddr      uint32
+		prevBus       uint32 // last value seen on the data bus (read or write)
+		prevWrote     uint32
+		prevWroteAddr uint32
+		havePrev      bool
+		haveWrite     bool
+
+		atdSum, togSum, ssnSum    float64
+		atdPeak, togPeak, ssnPeak float64
+		conflicts, reads          int
+		coupling                  float64
+		rowHits                   map[int]int
+		winATD, winTog, winSSN    [activityWindow]float64
+		sumATDw, sumTogw, sumSSNw float64
+		wIdx                      int
+		winSus                    [sustainWindow]float64
+		sumSus                    float64
+		susIdx                    int
+		ssnSustained              float64
+		failSeen                  map[uint32]bool
+	)
+	rowHits = make(map[int]int)
+	failSeen = make(map[uint32]bool)
+
+	for i, v := range seq {
+		addr := v.Addr % words
+		bank, row, col := m.geom.Decode(addr)
+
+		atd := 0.0
+		if havePrev && v.Op != testgen.OpNop {
+			atd = float64(bits.OnesCount32(prevAddr^addr)) / addrBits
+		}
+
+		var bus uint32
+		tog := 0.0
+		corrupted := false
+		switch v.Op {
+		case testgen.OpWrite:
+			bus = v.Data
+			m.words[m.physical(addr)] = v.Data
+			if haveWrite {
+				// Bitline coupling: adjacent-column write with near-complementary data.
+				flips := bits.OnesCount32(prevWrote ^ v.Data)
+				dAddr := int64(addr) - int64(prevWroteAddr)
+				if dAddr < 0 {
+					dAddr = -dAddr
+				}
+				if flips >= 24 && dAddr >= 1 && dAddr <= 2 {
+					coupling++
+				}
+			}
+			prevWrote = v.Data
+			prevWroteAddr = addr
+			haveWrite = true
+		case testgen.OpRead:
+			reads++
+			fr.ReadCount++
+			phys := m.physical(addr)
+			data := m.words[phys]
+			if th, ok := m.die.WeakCellThreshold(phys); ok && vddEff < th {
+				data ^= 1 << (addr % 32) // single-bit corruption
+				corrupted = true
+				fr.Mismatches++
+				if fr.FirstMismatch < 0 {
+					fr.FirstMismatch = i
+				}
+				if !failSeen[addr] {
+					failSeen[addr] = true
+					fr.FailingAddrs = append(fr.FailingAddrs, addr)
+				}
+			}
+			bus = data
+		default: // OpNop: bus holds
+			bus = prevBus
+		}
+		if havePrev && v.Op != testgen.OpNop {
+			tog = float64(bits.OnesCount32(prevBus^bus)) / 32.0
+		}
+
+		ssn := atd * tog
+
+		atdSum += atd
+		togSum += tog
+		ssnSum += ssn
+
+		// Sliding-window peaks.
+		sumATDw += atd - winATD[wIdx]
+		winATD[wIdx] = atd
+		sumTogw += tog - winTog[wIdx]
+		winTog[wIdx] = tog
+		sumSSNw += ssn - winSSN[wIdx]
+		winSSN[wIdx] = ssn
+		wIdx = (wIdx + 1) % activityWindow
+		wlen := float64(activityWindow)
+		if i+1 < activityWindow {
+			wlen = float64(i + 1)
+		}
+		if a := sumATDw / wlen; a > atdPeak {
+			atdPeak = a
+		}
+		if t := sumTogw / wlen; t > togPeak {
+			togPeak = t
+		}
+		if s := sumSSNw / wlen; s > ssnPeak {
+			ssnPeak = s
+		}
+		sumSus += ssn - winSus[susIdx]
+		winSus[susIdx] = ssn
+		susIdx = (susIdx + 1) % sustainWindow
+		slen := float64(sustainWindow)
+		if i+1 < sustainWindow {
+			slen = float64(i + 1)
+		}
+		if i+1 >= sustainWindow/2 { // ignore the warm-up transient
+			if s := sumSus / slen; s > ssnSustained {
+				ssnSustained = s
+			}
+		}
+
+		if observe != nil {
+			observe(CycleRecord{
+				Cycle: i, Op: v.Op, Addr: addr,
+				Bank: bank, Row: row, Col: col,
+				Bus: bus, ATD: atd, Toggle: tog, SSN: ssn,
+				Corrupted: corrupted,
+			})
+		}
+
+		// Bank conflict: back-to-back access to the same bank, different row.
+		if v.Op != testgen.OpNop {
+			if last := m.lastRowInBank[bank]; last >= 0 && last != row {
+				conflicts++
+			}
+			m.lastRowInBank[bank] = row
+			rowHits[bank*m.geom.Rows+row]++
+		}
+		_ = col
+
+		prevAddr = addr
+		prevBus = bus
+		havePrev = true
+	}
+
+	n := float64(len(seq))
+	act.Cycles = len(seq)
+	act.ATDMean = atdSum / n
+	act.ATDPeak = clamp01(atdPeak)
+	act.ToggleMean = togSum / n
+	act.TogglePeak = clamp01(togPeak)
+	act.SSNMean = ssnSum / n
+	act.SSNPeak = clamp01(ssnPeak)
+	act.SSNSustained = clamp01(ssnSustained)
+	act.BankConflictRate = float64(conflicts) / n
+	act.CouplingScore = clamp01(coupling / n * 4)
+	act.ReadRatio = float64(reads) / n
+	maxRow := 0
+	for _, c := range rowHits {
+		if c > maxRow {
+			maxRow = c
+		}
+	}
+	act.RowHammer = clamp01(float64(maxRow) / n)
+	return act, fr
+}
+
+// TestExecScratchEquivalenceProperty pins the dense-scratch execution path
+// to the map-based reference it replaced: same Activity, same functional
+// result, same failing-address order and the same per-cycle observer
+// records — across random sequences with weak cells and repaired rows, one
+// memory reused run after run, on the default and a non-power-of-two
+// geometry.
 func TestExecScratchEquivalenceProperty(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		die := NewDie(int(seed), CornerTypical,
-			WithWeakCell(3, 1.75), WithWeakCell(9, 1.9), WithWeakCell(14, 1.6))
-		plain, err := NewMemory(DefaultGeometry(), die)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratched, err := NewMemory(DefaultGeometry(), die)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratched.EnableExecScratch()
-		words := plain.Geometry().Words()
-		for run := 0; run < 8; run++ {
-			seq := randomSeq(rng, words, 1+rng.Intn(300))
-			vdd := 1.4 + rng.Float64()*0.6
-			actP, frP := plain.Execute(seq, vdd)
-			actS, frS := scratched.Execute(seq, vdd)
-			if actP != actS {
-				t.Fatalf("seed %d run %d: activity diverged\nplain   %+v\nscratch %+v", seed, run, actP, actS)
+	geoms := []Geometry{DefaultGeometry(), {Banks: 3, Rows: 5, Cols: 7}}
+	for _, geom := range geoms {
+		words := geom.Words()
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var opts []DieOption
+			for i := 0; i < 1+rng.Intn(5); i++ {
+				opts = append(opts, WithWeakCell(uint32(rng.Intn(16)), 1.5+rng.Float64()*0.5))
 			}
-			if frP.ReadCount != frS.ReadCount || frP.Mismatches != frS.Mismatches ||
-				frP.FirstMismatch != frS.FirstMismatch ||
-				!reflect.DeepEqual(frP.FailingAddrs, frS.FailingAddrs) {
-				t.Fatalf("seed %d run %d: functional result diverged\nplain   %+v\nscratch %+v", seed, run, frP, frS)
+			die := NewDie(int(seed), CornerTypical, opts...)
+			got, err := NewMemory(geom, die)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewMemory(geom, die)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < 8; run++ {
+				if rng.Intn(4) == 0 {
+					addr := uint32(rng.Intn(int(words)))
+					errG, errR := got.RepairRow(addr), ref.RepairRow(addr)
+					if (errG == nil) != (errR == nil) {
+						t.Fatalf("%+v seed %d: RepairRow(%d) = %v, reference %v", geom, seed, addr, errG, errR)
+					}
+				}
+				seq := randomSeq(rng, words, 1+rng.Intn(300))
+				vdd := 1.4 + rng.Float64()*0.6
+				var recG, recR []CycleRecord
+				var obsG, obsR func(CycleRecord)
+				if rng.Intn(2) == 0 {
+					obsG = func(r CycleRecord) { recG = append(recG, r) }
+					obsR = func(r CycleRecord) { recR = append(recR, r) }
+				}
+				got.Reset()
+				ref.Reset()
+				actG, frG := got.ExecuteObserved(seq, vdd, obsG)
+				actR, frR := referenceExecuteObserved(ref, seq, vdd, obsR)
+				if actG != actR {
+					t.Fatalf("%+v seed %d run %d: activity diverged\nscratch   %+v\nreference %+v", geom, seed, run, actG, actR)
+				}
+				if frG.ReadCount != frR.ReadCount || frG.Mismatches != frR.Mismatches ||
+					frG.FirstMismatch != frR.FirstMismatch ||
+					!reflect.DeepEqual(frG.FailingAddrs, frR.FailingAddrs) {
+					t.Fatalf("%+v seed %d run %d: functional result diverged\nscratch   %+v\nreference %+v", geom, seed, run, frG, frR)
+				}
+				if !reflect.DeepEqual(recG, recR) {
+					t.Fatalf("%+v seed %d run %d: observer records diverged", geom, seed, run)
+				}
 			}
 		}
+	}
+}
+
+// TestExecuteSteadyStateAllocatesNothing: a memory that was never set up
+// for it allocates its execution scratch on the first Execute and nothing
+// after, so every tester — worker insertion or main — runs allocation-free.
+func TestExecuteSteadyStateAllocatesNothing(t *testing.T) {
+	m := testMemory(t)
+	gen := testgen.NewRandomGenerator(3, m.Geometry().Words(), testgen.DefaultConditionLimits())
+	seqs := make([]testgen.Sequence, 50)
+	for i := range seqs {
+		seqs[i] = gen.Next().Seq
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, seq := range seqs {
+			m.Reset()
+			m.Execute(seq, 1.8)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Execute over 50 sequences allocated %v times per pass after the first, want 0", allocs)
 	}
 }
 
@@ -340,7 +566,6 @@ func TestExecScratchEpochWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.EnableExecScratch()
 	seq := testgen.Sequence{
 		{Op: testgen.OpWrite, Addr: 5, Data: 1},
 		{Op: testgen.OpRead, Addr: 5},

@@ -1,6 +1,7 @@
 package dut
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/testgen"
@@ -151,5 +152,57 @@ func TestRepairSurvivesReset(t *testing.T) {
 	}
 	if p.Func.Failed() {
 		t.Error("repair lost across Reset; eFuse repair must persist")
+	}
+}
+
+// TestCloneKeepsRowRepairs: repairs are permanent state of the silicon, so
+// a clone of a repaired device (every forked tester insertion) must measure
+// the repaired array, while Retarget to another die still clears them.
+func TestCloneKeepsRowRepairs(t *testing.T) {
+	const addr = 5
+	dev := weakDevice(t, addr, 2.5)
+	if err := dev.RepairRow(addr); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := dev.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := weakReadTest(addr)
+	want, err := dev.Profile(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := clone.Profile(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Func.Failed() || got.Func.Failed() {
+		t.Fatalf("repaired device failed = %v, clone failed = %v, want both passing", want.Func.Failed(), got.Func.Failed())
+	}
+	if got.Act != want.Act || !reflect.DeepEqual(got.Func, want.Func) {
+		t.Fatalf("clone profile differs from original:\nclone    %+v %+v\noriginal %+v %+v", got.Act, got.Func, want.Act, want.Func)
+	}
+	if clone.RepairedRows() != 1 || clone.SparesRemaining(addr) != dev.SparesRemaining(addr) {
+		t.Fatalf("clone repairs = %d rows, %d spares left; original %d rows, %d spares left",
+			clone.RepairedRows(), clone.SparesRemaining(addr), dev.RepairedRows(), dev.SparesRemaining(addr))
+	}
+
+	// The clone's repair state is its own: repairing it leaves the original
+	// alone, and retargeting clears only the clone.
+	if err := clone.RepairRow(addr + 64*16); err != nil {
+		t.Fatal(err)
+	}
+	if dev.RepairedRows() != 1 {
+		t.Fatalf("repairing the clone changed the original: %d rows", dev.RepairedRows())
+	}
+	if err := clone.Retarget(NewDie(1, CornerTypical)); err != nil {
+		t.Fatal(err)
+	}
+	if clone.RepairedRows() != 0 || clone.SparesRemaining(addr) != SpareRowsPerBank {
+		t.Fatalf("retargeted clone kept repairs: %d rows", clone.RepairedRows())
+	}
+	if dev.RepairedRows() != 1 {
+		t.Fatalf("retargeting the clone changed the original: %d rows", dev.RepairedRows())
 	}
 }

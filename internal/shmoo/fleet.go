@@ -38,14 +38,7 @@ func (p *Plot) addTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, b
 	grids := make([][]bool, len(tests))
 	costs := make([]ate.Stats, len(tests))
 	return parallel.Stream(f, len(tests), func(int) (*ate.ATE, error) {
-		wk, err := a.Fork(baseSeed)
-		if err != nil {
-			return nil, err
-		}
-		// Value-identical dense execution scratch: the fleet worker's
-		// insertion lives for the whole overlay, so the arrays amortize.
-		wk.Device().EnableExecScratch()
-		return wk, nil
+		return a.Fork(baseSeed)
 	}, func(wk *ate.ATE, i int) error {
 		wk.Reseed(baseSeed + int64(i))
 		cells, err := p.sweepGrid(point(wk), tests[i], 0, p.Y.Steps)
@@ -81,12 +74,7 @@ func (p *Plot) AddTestsWavefront(f *parallel.Fleet, a *ate.ATE, tests []testgen.
 	costs := make([]ate.Stats, n)
 	var total ate.Stats
 	return parallel.Stream(f, n, func(int) (*ate.ATE, error) {
-		wk, err := a.Fork(baseSeed)
-		if err != nil {
-			return nil, err
-		}
-		wk.Device().EnableExecScratch()
-		return wk, nil
+		return a.Fork(baseSeed)
 	}, func(wk *ate.ATE, k int) error {
 		ti, yi := k/ys, k%ys
 		wk.Reseed(baseSeed + int64(k))

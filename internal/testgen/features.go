@@ -44,31 +44,49 @@ func FeatureNames() []string {
 // the DUT physics model.
 const featureWindow = 8
 
+// featureRing.mean unrolls its sum for exactly 8 slots; this constant
+// overflows (a compile error) for any other window.
+const _ = uint(featureWindow-8) + uint(8-featureWindow)
+
 // featureRing is the fixed-size sliding window behind the peak statistics.
-// mean sums oldest-to-newest — the same order the slice-based window
+// Every value is stored twice, at pos and pos+featureWindow, so the window
+// is always the contiguous slice buf[pos:pos+featureWindow] ordered oldest
+// to newest. mean sums in that order — the order the slice-based window
 // summed in — so the extracted features are bit-identical to that form
-// while the window itself never allocates.
+// while the window never allocates and never takes a modulus.
 type featureRing struct {
-	buf     [featureWindow]float64
-	head, n int
+	buf    [2 * featureWindow]float64
+	pos, n int // next slot to overwrite; values pushed so far, capped
 }
 
 func (r *featureRing) push(v float64) {
-	if r.n < featureWindow {
-		r.buf[(r.head+r.n)%featureWindow] = v
-		r.n++
-		return
+	r.buf[r.pos] = v
+	r.buf[r.pos+featureWindow] = v
+	if r.pos++; r.pos == featureWindow {
+		r.pos = 0
 	}
-	r.buf[r.head] = v
-	r.head = (r.head + 1) % featureWindow
+	if r.n < featureWindow {
+		r.n++
+	}
 }
 
 func (r *featureRing) mean() float64 {
-	s := 0.0
-	for j := 0; j < r.n; j++ {
-		s += r.buf[(r.head+j)%featureWindow]
+	if r.n < featureWindow {
+		// Warm-up: the first n pushes sit in buf[0:n] in push order.
+		s := 0.0
+		for _, v := range r.buf[:r.n] {
+			s += v
+		}
+		return s / float64(r.n)
 	}
-	return s / float64(r.n)
+	// Unrolled for the 8-slot window (checked at compile time beside
+	// featureWindow). It equals the slice form's 0+w[0]+…+w[7] for every
+	// input but -0, which activity densities never produce.
+	w := r.buf[r.pos : r.pos+featureWindow]
+	s := w[0] + w[1] + w[2] + w[3] + w[4] + w[5] + w[6] + w[7]
+	// Scaling by the reciprocal of a power of two is exact, so this equals
+	// s / featureWindow bit for bit.
+	return s * (1.0 / featureWindow)
 }
 
 // ExtractFeatures encodes a test as a fixed-length vector of values in
