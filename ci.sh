@@ -12,8 +12,9 @@
 # BENCH_lot.json (streamed lot screening dies/sec across the worker ladder,
 # disk cache cold/warm). The kernel and lot passes are also hard gates:
 # allocs/op above the pinned ceilings, a streamed lot slower than 2x the
-# per-die loop, or a warm-cache run serving under 50% of dies from disk all
-# fail CI, so regressions in the hot paths cannot land silently.
+# per-die loop, a warm-cache run serving under 50% of dies from disk, or a
+# two-worker lot screen slower than a one-worker one all fail CI, so
+# regressions in the hot paths cannot land silently.
 set -eu
 cd "$(dirname "$0")"
 
@@ -97,6 +98,7 @@ go test -run '^$' -fuzz '^FuzzSUTPBounds$' -fuzztime 10s ./internal/search/
 go test -run '^$' -fuzz '^FuzzWeightFileParse$' -fuzztime 10s ./internal/neural/
 go test -run '^$' -fuzz '^FuzzTraceParse$' -fuzztime 10s ./internal/obs/
 go test -run '^$' -fuzz '^FuzzPromEncode$' -fuzztime 10s ./internal/obs/
+go test -run '^$' -fuzz '^FuzzDieRecordDecode$' -fuzztime 10s ./internal/core/
 echo "all fuzz targets clean"
 
 echo "== telemetry smoke run =="
@@ -420,7 +422,7 @@ race_suite() {
 	printf '%s\n' "$RACE_OUT" | grep -E '^(ok|---)'
 }
 race_suite ./internal/parallel/ 'TestStream|TestFleetMatchesRun'
-race_suite ./internal/core/ 'TestSchedulerEquivalence|TestOptimizeDeterministic|TestScreenLotStreamMatchesLegacyPerDieLoop'
+race_suite ./internal/core/ 'TestSchedulerEquivalence|TestOptimizeDeterministic|TestScreenLotStreamMatchesLegacyPerDieLoop|TestScreenLotStreamReportInvariance|TestScreenLotStreamDuplicateDies'
 race_suite ./internal/shmoo/ 'TestAddTestsOn|TestAddFmaxTestsOn|TestWavefront'
 race_suite ./internal/neural/ 'TestEnsembleParallel|TestEnsembleOn'
 echo "fleet determinism suite race-clean"
@@ -558,8 +560,9 @@ echo "== lot pipeline benchmark (fab-scale gates) =="
 #     return of per-die RNG seeding or grid rescans fails CI;
 #   - warm hit rate: a run against an already-populated cache dir must serve
 #     >= 50% of dies from disk (in practice 100%);
-#   - allocations: the streamed path must stay under 48 mallocs per die
-#     (~3x the 15 measured after the hoisted-worker/profile-bank rewrite).
+#   - allocations: the streamed path must stay under 24 mallocs per die
+#     (~3x the 8 measured once the per-die trace event is built only when
+#     a trace is being written).
 LOT_OUT=$(go test -run '^$' \
 	-bench '^(BenchmarkLotScreenPerDieLoop|BenchmarkLotScreenStream)$' \
 	-benchtime 1x -timeout 60m .)
@@ -567,7 +570,7 @@ printf '%s\n' "$LOT_OUT"
 printf '%s\n' "$LOT_OUT" | awk '
 	BEGIN {
 		printf "[\n"
-		alloc_ceiling = 48
+		alloc_ceiling = 24
 		min_speedup = 2.0
 		min_warm_hit_rate = 0.5
 		min_cold_dies_per_sec = 80000
@@ -627,6 +630,34 @@ printf '%s\n' "$LOT_OUT" | awk '
 ' > BENCH_lot.json
 echo "wrote BENCH_lot.json:"
 cat BENCH_lot.json
+
+echo "== lot worker scaling gate =="
+# Two workers must screen a cold lot faster than one (a 1.09-core coordinator
+# bottleneck once held two workers ~15% below one). Each side is the best of
+# three single-lot runs, so one noisy run cannot flip the gate.
+SCALE_OUT=$(go test -run '^$' \
+	-bench '^BenchmarkLotScreenStream$/^workers=[12]/cache=off$' \
+	-benchtime 1x -count 3 -timeout 30m .)
+printf '%s\n' "$SCALE_OUT"
+printf '%s\n' "$SCALE_OUT" | awk '
+	/^BenchmarkLotScreenStream\/workers=[12]\/cache=off/ {
+		w = ($1 ~ /workers=1\//) ? 1 : 2
+		for (i = 2; i <= NF; i++) if ($i == "dies_per_sec" && $(i - 1) + 0 > best[w]) best[w] = $(i - 1) + 0
+	}
+	END {
+		if (best[1] <= 0 || best[2] <= 0) {
+			printf "FAIL: lot scaling gate found no workers=1 and workers=2 cache=off dies_per_sec\n" > "/dev/stderr"
+			exit 1
+		}
+		if (best[2] < best[1]) {
+			printf "FAIL: lot screen at workers=2 %.0f dies/sec is slower than workers=1 %.0f (ratio %.2f)\n", \
+				best[2], best[1], best[2] / best[1] > "/dev/stderr"
+			exit 1
+		}
+		printf "lot scaling gate: workers=2 %.0f dies/sec = %.2fx workers=1 %.0f (best of 3 each)\n", \
+			best[2], best[2] / best[1], best[1]
+	}
+'
 
 echo "== benchdiff gates against committed baselines =="
 # The fresh BENCH_*.json files must not regress the counter-style metrics

@@ -239,7 +239,7 @@ func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error
 		merge(t)
 	}
 	if n := len(reps) - start; n > 0 {
-		err := parallel.Stream(e.fleet, n, e.insertionFor, measure, func(i int) error {
+		err := parallel.Stream(e.fleet, n, 0, e.insertionFor, measure, func(i int) error {
 			merge(start + i)
 			return nil
 		})

@@ -19,10 +19,11 @@ import (
 // Streamed lot screening: the one lot-screen entry point. Three properties
 // distinguish it from a per-die loop:
 //
-//   - Bounded memory. Dies stream through the worker fleet in windows of
-//     O(workers) size; nothing O(lot) is buffered unless the caller asks
-//     for per-die results. Population statistics (mean, spread, corner
-//     worst cases, drift, outliers) accumulate in O(1) per die.
+//   - Bounded memory. Dies stream through the worker fleet in chunks of
+//     lotChunk consecutive dies, at most BatchSize dies in flight; nothing
+//     O(lot) is buffered unless the caller asks for per-die results.
+//     Population statistics (mean, spread, corner worst cases, drift,
+//     outliers) accumulate in O(1) per die.
 //   - Shared work. Each worker owns one device and one tester insertion
 //     for the whole lot (Retarget/Reseed per die instead of reallocating),
 //     and a lot-wide dut.ProfileBank executes each test pattern once
@@ -33,11 +34,19 @@ import (
 //     the die, the test set and the seed; a second identical run replays
 //     from disk with bit-identical LotReport output.
 //
-// Determinism: dies are resolved against the cache serially in lot order,
-// misses fan out on the deterministic fleet with per-die seeds, and windows
-// merge back in lot order — the report (and the telemetry event stream) is
-// bit-identical at any worker count, any batch size, and cache cold or
-// warm.
+// Determinism: the whole lot is one fleet stage. Each worker builds its
+// chunk's dies, looks them up in the cache and screens the misses with
+// per-die seeds; a hit replays exactly the record a miss would compute, so
+// what a worker produces for a die does not depend on which worker ran it
+// or when. The coordinator merges chunk by chunk in lot order — cache
+// inserts, aggregates, outliers, drift and telemetry — so the report, the
+// telemetry event stream and the cache segment bytes are bit-identical at
+// any worker count, any batch size, and cache cold or warm.
+
+// lotChunk is the fleet task of a lot screen: this many consecutive dies
+// per task amortize the stage's per-task synchronization over a cache-hit
+// replay of about a microsecond per die.
+const lotChunk = 16
 
 // LotOptions configures ScreenLotStream. The zero value screens with one
 // worker per CPU, an automatic batch size, no disk cache, no retained
@@ -46,14 +55,15 @@ type LotOptions struct {
 	// Workers is the concurrent tester-insertion count (multi-site
 	// testing); values below 1 select one per CPU.
 	Workers int
-	// Fleet, when non-nil, dispatches the miss fan-out onto this persistent
-	// worker fleet instead of one the screen creates for the lot, so the
-	// worker states also persist across the caller's other phases.
-	// Overrides Workers for sizing. The report is bit-identical either way.
+	// Fleet, when non-nil, runs the screen on this persistent worker fleet
+	// instead of one the screen creates for the lot, so a caller screening
+	// many lots starts its worker goroutines once. Overrides Workers for
+	// sizing. The report is bit-identical either way.
 	Fleet *parallel.Fleet
-	// BatchSize is the streaming window: how many dies are in flight
-	// between cache resolve and merge. Values below 1 pick 4× the worker
-	// count. Batch size never changes results, only peak memory.
+	// BatchSize bounds the run-ahead in dies: a die is not built until
+	// the die BatchSize places before it has been merged. Values below 1
+	// pick 64× the worker count. Batch size never changes results, only
+	// peak memory.
 	BatchSize int
 	// RetainDies keeps every per-die result in LotReport.Dies — O(lot)
 	// memory. Leave false for fab-scale lots; the streaming aggregates and
@@ -133,6 +143,11 @@ func (wk *lotWorker) screen(param ate.Parameter, tests []testgen.Test, die *dut.
 // ScreenLotStream screens every die of the source through the streaming
 // pipeline and returns the aggregated report. See LotOptions for the
 // knobs; per-die results need RetainDies.
+//
+// With a cache attached, its hit and miss counters are pinned only for
+// lots of distinct dies. When a die repeats within a lot, whether its
+// second lookup hits depends on whether the first was merged yet, which
+// depends on scheduling; the report and the segment bytes do not.
 func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSource, geom dut.Geometry, baseSeed int64, opts LotOptions) (*LotReport, error) {
 	if len(tests) == 0 {
 		return nil, fmt.Errorf("core: lot screen needs at least one test")
@@ -146,14 +161,12 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 		fleet = parallel.NewFleet(parallel.Bound(opts.Workers, n))
 		defer fleet.Close()
 	}
-	nw := fleet.Size()
 	batch := opts.BatchSize
 	if batch < 1 {
-		batch = 4 * nw
+		batch = 64 * fleet.Size()
 	}
-	if batch > n {
-		batch = n
-	}
+	batch = min(batch, n)
+	chunk := min(lotChunk, batch)
 	topK := opts.TopOutliers
 	if topK < 1 {
 		topK = 8
@@ -171,22 +184,18 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 		return nil, err
 	}
 
-	// Worker states persist across windows: construction cost (array
-	// allocation) is paid once per worker, not once per window or die.
-	states := make([]*lotWorker, nw)
+	// The lot is one fleet stage, so each worker builds its device and
+	// tester once per lot: construction cost (array allocation) is paid
+	// once per worker, not once per die.
 	placeholder := dut.NewDie(-1, dut.CornerTypical)
-	newWorker := func(w int) (*lotWorker, error) {
-		if states[w] != nil {
-			return states[w], nil
-		}
+	newWorker := func(int) (*lotWorker, error) {
 		dev, err := dut.NewDevice(geom, placeholder)
 		if err != nil {
 			return nil, err
 		}
 		tester := ate.New(dev, baseSeed)
 		tester.Profiler = bank.Profile
-		states[w] = &lotWorker{dev: dev, tester: tester}
-		return states[w], nil
+		return &lotWorker{dev: dev, tester: tester}, nil
 	}
 
 	lotKey := lotCacheKey(param, geom, tests, baseSeed)
@@ -213,63 +222,50 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 	)
 
 	type slot struct {
-		die       *dut.Die
 		key       uint64
 		dr        DieResult
 		cost      ate.Stats
 		fromCache bool
 	}
-	window := make([]slot, batch)
-	var missIdx []int
+	ring := make([]slot, batch)
+	chunks := (n + chunk - 1) / chunk
 
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		w := window[:end-start]
-		missIdx = missIdx[:0]
-
-		// Serial cache resolve in lot order: hit/miss counters and the
-		// set of dies that fan out are deterministic.
-		for j := range w {
-			die := src.Die(start + j)
-			w[j] = slot{die: die}
+	// Worker side: build, look up and screen every die of the chunk. A
+	// cache hit replays the exact record a miss would compute; per-die
+	// seeds keep every measurement stream independent of worker count and
+	// chunk placement.
+	screenChunk := func(wk *lotWorker, c int) error {
+		for i := c * chunk; i < min(n, (c+1)*chunk); i++ {
+			die := src.Die(i)
+			s := &ring[i%len(ring)]
+			*s = slot{}
 			if opts.Cache != nil {
-				w[j].key = dieCacheKey(lotKey, die)
-				if raw, ok := opts.Cache.Get(w[j].key); ok {
+				s.key = dieCacheKey(lotKey, die)
+				if raw, ok := opts.Cache.Get(s.key); ok {
 					if dr, cost, ok := decodeDieRecord(raw); ok && dr.DieID == die.ID {
-						w[j].dr, w[j].cost, w[j].fromCache = dr, cost, true
+						s.dr, s.cost, s.fromCache = dr, cost, true
 						continue
 					}
 				}
 			}
-			missIdx = append(missIdx, j)
-		}
-
-		// Fan the misses over the fleet; per-die seeds keep every die's
-		// measurement stream independent of worker count and batch shape.
-		screenMiss := func(wk *lotWorker, k int) error {
-			j := missIdx[k]
-			dr, cost, err := wk.screen(param, tests, w[j].die, baseSeed+int64(w[j].die.ID))
+			dr, cost, err := wk.screen(param, tests, die, baseSeed+int64(die.ID))
 			if err != nil {
 				return err
 			}
-			w[j].dr, w[j].cost = dr, cost
-			return nil
+			s.dr, s.cost = dr, cost
 		}
-		if err := parallel.RunOn(fleet, len(missIdx), newWorker, screenMiss); err != nil {
-			return nil, err
-		}
+		return nil
+	}
 
-		// Merge in lot order: aggregation, cache inserts (deterministic
-		// segment bytes) and telemetry all see the same sequence at any
-		// worker count.
-		for j := range w {
-			i := start + j
-			dr, cost := w[j].dr, w[j].cost
-			if opts.Cache != nil && !w[j].fromCache {
-				opts.Cache.Put(w[j].key, encodeDieRecord(dr, cost))
+	// Coordinator side: merge in lot order, so aggregation, cache inserts
+	// (deterministic segment bytes) and telemetry all see the same
+	// sequence at any worker count.
+	merge := func(c int) error {
+		for i := c * chunk; i < min(n, (c+1)*chunk); i++ {
+			s := &ring[i%len(ring)]
+			dr, cost := s.dr, s.cost
+			if opts.Cache != nil && !s.fromCache {
+				opts.Cache.Put(s.key, encodeDieRecord(dr, cost))
 			}
 			tel.RecordItem("die", i+1, n)
 			if opts.RetainDies {
@@ -279,13 +275,15 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 			rep.ClassCounts[dr.Class]++
 			rep.Measurements += cost.Measurements
 			rep.Stats.Add(cost)
-			ph.Span().Event("die",
-				telemetry.I("die", dr.DieID),
-				telemetry.S("corner", dr.Corner.String()),
-				telemetry.F("worst_trip", dr.WorstTrip),
-				telemetry.F("wcr", dr.WCR),
-				telemetry.I("measurements", cost.Measurements),
-			)
+			if sp := ph.Span(); sp != nil {
+				sp.Event("die",
+					telemetry.I("die", dr.DieID),
+					telemetry.S("corner", dr.Corner.String()),
+					telemetry.F("worst_trip", dr.WorstTrip),
+					telemetry.F("wcr", dr.WCR),
+					telemetry.I("measurements", cost.Measurements),
+				)
+			}
 
 			sumWorst += dr.WorstTrip
 			minWorst = math.Min(minWorst, dr.WorstTrip)
@@ -300,6 +298,13 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 			drift.Add(float64(i), dr.WorstTrip)
 			outliers.Add(dr.DieID, dr.WorstTrip)
 		}
+		return nil
+	}
+
+	// A window of batch/chunk chunks keeps every claimed-but-unmerged die
+	// within batch consecutive lot indices, so ring slots never collide.
+	if err := parallel.Stream(fleet, chunks, batch/chunk, newWorker, screenChunk, merge); err != nil {
+		return nil, err
 	}
 
 	rep.MeanWorstTrip = sumWorst / float64(n)

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -42,7 +45,7 @@ func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		for _, batch := range []int{0, 1, 3, 5, 64} {
+		for _, batch := range []int{0, 1, 3, 5, 16, 17, 64} {
 			rep, err := ScreenLotStream(ate.TDQ, tests, dut.LotSlice(dies), geom, seed, LotOptions{
 				Workers: workers, BatchSize: batch, RetainDies: true,
 			})
@@ -139,6 +142,110 @@ func TestScreenLotStreamReportInvariance(t *testing.T) {
 	st := store.Stats()
 	if st.Hits != int64(lot.Len()) || st.Misses != 0 {
 		t.Errorf("warm run: %d hits / %d misses, want %d / 0", st.Hits, st.Misses, lot.Len())
+	}
+
+	// Chunk and ring edges: 500 dies is not a multiple of lotChunk and
+	// outgrows every ring below, and the batch sizes straddle one chunk.
+	// Every shape must match the workers=1 baseline cold and warm, and the
+	// cold runs must write byte-identical cache segments.
+	big, err := dut.NewWaferLot(6, 2, 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigBaseline, err := ScreenLotStream(ate.TDQ, tests, big, geom, seed, LotOptions{Workers: 1, RetainDies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantSegments map[string]string
+	for _, workers := range []int{1, 2, 8} {
+		for _, batch := range []int{0, 1, 15, 16, 17, 200} {
+			dir := t.TempDir()
+			for _, pass := range []string{"cold", "warm"} {
+				name := fmt.Sprintf("500 dies w%d b%d %s", workers, batch, pass)
+				store, err := cachestore.Open(dir, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := ScreenLotStream(ate.TDQ, tests, big, geom, seed, LotOptions{
+					Workers: workers, BatchSize: batch, RetainDies: true, Cache: store,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(rep, bigBaseline) {
+					t.Errorf("%s: report differs from the workers=1 baseline", name)
+				}
+				st := store.Stats()
+				if pass == "warm" && (st.Hits != int64(big.Len()) || st.Misses != 0) {
+					t.Errorf("%s: %d hits / %d misses, want %d / 0", name, st.Hits, st.Misses, big.Len())
+				}
+			}
+			segments := readDir(t, dir)
+			if wantSegments == nil {
+				wantSegments = segments
+			} else if !reflect.DeepEqual(segments, wantSegments) {
+				t.Errorf("500 dies w%d b%d: cache segments differ from w1 b0", workers, batch)
+			}
+		}
+	}
+}
+
+// readDir returns every file of dir by name, contents as a string.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(raw)
+	}
+	return files
+}
+
+// A die that occurs twice in a lot may be screened twice or replayed from
+// the cache, depending on whether its first occurrence was merged before
+// the second was looked up. The report cannot tell: a hit replays exactly
+// the record a miss computes.
+func TestScreenLotStreamDuplicateDies(t *testing.T) {
+	tests := lotTests(t)[:2]
+	dies := dut.NewDieLot(47, 24)
+	// dies[20] repeats within its chunk; dies[3] repeats in the next chunk
+	// and then back to back.
+	lot := append(append(dut.LotSlice{}, dies...), dies[20], dies[3], dies[3])
+	geom := dut.DefaultGeometry()
+	const seed = 47
+
+	want, err := ScreenLotStream(ate.TDQ, tests, lot, geom, seed, LotOptions{Workers: 1, RetainDies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, batch := range []int{0, 1, 17} {
+			store, err := cachestore.Open(t.TempDir(), 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := ScreenLotStream(ate.TDQ, tests, lot, geom, seed, LotOptions{
+				Workers: workers, BatchSize: batch, RetainDies: true, Cache: store,
+			})
+			if err != nil {
+				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
+			}
+			if !reflect.DeepEqual(rep, want) {
+				t.Errorf("workers=%d batch=%d: report with repeated dies differs from the uncached workers=1 run", workers, batch)
+			}
+			// One worker merges each chunk before it looks up the next, so
+			// the repeats of dies[3] must have replayed from the cache.
+			if st := store.Stats(); workers == 1 && st.Hits == 0 {
+				t.Errorf("batch=%d: one worker served no repeated die from the cache", batch)
+			}
+		}
 	}
 }
 

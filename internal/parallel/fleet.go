@@ -24,8 +24,7 @@ import (
 // serialize); a task must never start a stage on its own fleet — use a
 // separate fleet for nested parallelism.
 type Fleet struct {
-	nw     int
-	window int
+	nw int
 
 	mu      sync.Mutex // guards start/close state
 	chans   []chan *stage
@@ -47,22 +46,6 @@ func NewFleet(workers int) *Fleet {
 
 // Size returns the worker count.
 func (f *Fleet) Size() int { return f.nw }
-
-// SetWindow bounds how far task execution may run ahead of in-order
-// delivery: with window w, task floor+w is not claimed until task floor has
-// been delivered. Values below 1 remove the bound (the default). The window
-// never changes results — only peak buffered work — and exists for
-// memory-bounded pipelines and the invariance tests. Not safe to call
-// concurrently with a running stage.
-func (f *Fleet) SetWindow(n int) {
-	if n < 1 {
-		n = 0
-	}
-	f.window = n
-}
-
-// Window returns the configured run-ahead bound (0 = unbounded).
-func (f *Fleet) Window() int { return f.window }
 
 // Close shuts the worker goroutines down and waits for them to exit.
 // Idempotent. A closed fleet must not be streamed on again.
@@ -242,13 +225,20 @@ func (st *stage) work(w int) {
 // every side effect of the merge — happen in the same order at any worker
 // count.
 //
+// window bounds how far execution may run ahead of delivery: task i is not
+// claimed until task i−window has been delivered, so at most window tasks
+// are claimed-but-undelivered at once. Values below 1 remove the bound. The
+// window never changes results — only peak buffered work — and belongs to
+// the stage, so a memory-bounded pipeline and an unbounded one can share a
+// fleet.
+//
 // Error semantics mirror Run: every task still runs when some fail
 // (delivery stops at the first failed index, and with one worker the tasks
 // after an error are skipped, exactly like Run's inline path); the
 // lowest-index task panic is re-panicked as a TaskPanic after the stage
 // drains; otherwise the lowest-worker construction error, then the
 // lowest-index task error, then the first deliver error is returned.
-func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(wk W, i int) error, deliver func(i int) error) error {
+func Stream[W any](f *Fleet, n, window int, newWorker func(w int) (W, error), task func(wk W, i int) error, deliver func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -319,7 +309,7 @@ func Stream[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(
 	workerErrs := make([]error, np)
 	taskCounts := make([]int, np)
 
-	st := &stage{n: n, window: f.window, workers: np, timed: fobs != nil, done: make([]uint8, n)}
+	st := &stage{n: n, window: window, workers: np, timed: fobs != nil, done: make([]uint8, n)}
 	st.cond.L = &st.mu
 	st.init = func(w int) error {
 		if !resInit[w] {
@@ -433,12 +423,12 @@ func runStreamTask[W any](wk W, i int, task func(wk W, i int) error, panics []an
 // RunOn executes tasks 0..n-1 on the fleet with no delivery callback — the
 // persistent-pool form of Run.
 func RunOn[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(wk W, i int) error) error {
-	return Stream(f, n, newWorker, task, nil)
+	return Stream(f, n, 0, newWorker, task, nil)
 }
 
 // ForEachOn runs fn(i) for every i in [0, n) on the fleet, for tasks that
 // need no worker-owned resource.
 func ForEachOn(f *Fleet, n int, fn func(i int) error) error {
-	return Stream(f, n, func(int) (struct{}, error) { return struct{}{}, nil },
+	return Stream(f, n, 0, func(int) (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, i int) error { return fn(i) }, nil)
 }

@@ -14,7 +14,7 @@ func TestStreamDeliversInOrder(t *testing.T) {
 		f := NewFleet(workers)
 		results := make([]int, 20)
 		var delivered []int
-		err := Stream(f, 20,
+		err := Stream(f, 20, 0,
 			func(w int) (int, error) { return w, nil },
 			func(_ int, i int) error { results[i] = i * i; return nil },
 			func(i int) error {
@@ -84,12 +84,8 @@ func TestStreamWindowBoundsRunAhead(t *testing.T) {
 		var stats StreamStats
 		SetFleetObserver(func(s StreamStats) { stats = s })
 		f := NewFleet(4)
-		f.SetWindow(window)
-		if f.Window() != window {
-			t.Fatalf("Window() = %d, want %d", f.Window(), window)
-		}
 		sum := 0
-		err := Stream(f, 40,
+		err := Stream(f, 40, window,
 			func(w int) (struct{}, error) { return struct{}{}, nil },
 			func(_ struct{}, i int) error { return nil },
 			func(i int) error { sum += i; return nil })
@@ -114,7 +110,7 @@ func TestStreamTaskErrorLowestIndexWins(t *testing.T) {
 	defer f.Close()
 	var ran atomic.Int32
 	var delivered atomic.Int32
-	err := Stream(f, 10,
+	err := Stream(f, 10, 0,
 		func(w int) (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, i int) error {
 			ran.Add(1)
@@ -140,7 +136,7 @@ func TestStreamDeliverErrorStopsDelivery(t *testing.T) {
 	defer f.Close()
 	sentinel := errors.New("merge failed")
 	var delivered atomic.Int32
-	err := Stream(f, 9,
+	err := Stream(f, 9, 0,
 		func(w int) (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, i int) error { return nil },
 		func(i int) error {
@@ -203,7 +199,7 @@ func TestStreamPanicDeterministicLowestIndex(t *testing.T) {
 		var streamErr error
 		rec := func() (rec any) {
 			defer func() { rec = recover() }()
-			streamErr = Stream(f, 12,
+			streamErr = Stream(f, 12, 0,
 				func(w int) (struct{}, error) { return struct{}{}, nil },
 				func(_ struct{}, i int) error {
 					ran.Add(1)
@@ -268,7 +264,7 @@ func TestStreamZeroTasks(t *testing.T) {
 	f := NewFleet(4)
 	defer f.Close()
 	called := false
-	err := Stream(f, 0,
+	err := Stream(f, 0, 0,
 		func(w int) (struct{}, error) { called = true; return struct{}{}, nil },
 		func(_ struct{}, i int) error { called = true; return nil },
 		func(i int) error { called = true; return nil })
@@ -380,7 +376,6 @@ func TestFleetMatchesRunProperty(t *testing.T) {
 				cache = NewMemoCache()
 			}
 			f := NewFleet(workers)
-			f.SetWindow(window)
 			for s := 0; s < stages; s++ {
 				vals := make([]float64, n)
 				resolved := make([]bool, n)
@@ -391,7 +386,7 @@ func TestFleetMatchesRunProperty(t *testing.T) {
 					}
 					cache.GetBatch(keys, vals, resolved)
 				}
-				err := Stream(f, n,
+				err := Stream(f, n, window,
 					func(w int) (struct{}, error) { return struct{}{}, nil },
 					func(_ struct{}, i int) error {
 						if !resolved[i] {

@@ -37,7 +37,7 @@ func (p *Plot) AddFmaxTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Tes
 func (p *Plot) addTestsOn(f *parallel.Fleet, a *ate.ATE, tests []testgen.Test, baseSeed int64, point forkPoint) error {
 	grids := make([][]bool, len(tests))
 	costs := make([]ate.Stats, len(tests))
-	return parallel.Stream(f, len(tests), func(int) (*ate.ATE, error) {
+	return parallel.Stream(f, len(tests), 0, func(int) (*ate.ATE, error) {
 		return a.Fork(baseSeed)
 	}, func(wk *ate.ATE, i int) error {
 		wk.Reseed(baseSeed + int64(i))
@@ -73,7 +73,7 @@ func (p *Plot) AddTestsWavefront(f *parallel.Fleet, a *ate.ATE, tests []testgen.
 	rows := make([][]bool, n)
 	costs := make([]ate.Stats, n)
 	var total ate.Stats
-	return parallel.Stream(f, n, func(int) (*ate.ATE, error) {
+	return parallel.Stream(f, n, 0, func(int) (*ate.ATE, error) {
 		return a.Fork(baseSeed)
 	}, func(wk *ate.ATE, k int) error {
 		ti, yi := k/ys, k%ys
