@@ -400,7 +400,8 @@ echo "== fleet determinism under -race =="
 # The determinism suite is the license for the single fleet path: results,
 # merged stats and trace bytes are pinned to digests recorded from the
 # retired per-batch pool, at every fleet size, with the race detector
-# watching the persistent workers, the streamed deliveries and the
+# watching the persistent workers, the producer goroutines that breed and
+# draw while the workers measure, the streamed deliveries and the
 # wavefront merges. `go test -run` exits 0 when a pattern matches nothing,
 # so every alternative of every pattern must list at least one test first:
 # a rename fails CI instead of silently turning this section into a no-op.
@@ -421,8 +422,8 @@ race_suite() {
 	fi
 	printf '%s\n' "$RACE_OUT" | grep -E '^(ok|---)'
 }
-race_suite ./internal/parallel/ 'TestStream|TestFleetMatchesRun'
-race_suite ./internal/core/ 'TestSchedulerEquivalence|TestOptimizeDeterministic|TestScreenLotStreamMatchesLegacyPerDieLoop|TestScreenLotStreamReportInvariance|TestScreenLotStreamDuplicateDies'
+race_suite ./internal/parallel/ 'TestStream|TestFleetMatchesRun|TestStreamProducer'
+race_suite ./internal/core/ 'TestSchedulerEquivalenceOptimize|TestSchedulerEquivalenceTable1|TestSchedulerEquivalence|TestProposeSeedsDigest|TestFitnessStreamResolveMatchesRecordedBatch|TestOptimizeDeterministic|TestScreenLotStreamMatchesLegacyPerDieLoop|TestScreenLotStreamReportInvariance|TestScreenLotStreamDuplicateDies'
 race_suite ./internal/shmoo/ 'TestAddTestsOn|TestAddFmaxTestsOn|TestWavefront'
 race_suite ./internal/neural/ 'TestEnsembleParallel|TestEnsembleOn'
 echo "fleet determinism suite race-clean"

@@ -94,6 +94,11 @@ type ATE struct {
 	cached     dut.Profile
 	cachedName string
 	haveCached bool
+
+	// staged is a profile executed off this tester (ProfileOn) that the
+	// next load of its test takes instead of executing the pattern here.
+	staged     dut.Profile
+	haveStaged bool
 }
 
 // New creates a tester with the device in the socket. The seed drives
@@ -126,7 +131,7 @@ func (a *ATE) ResetStats() {
 // Reload invalidates the pattern-memory profile cache. Call after anything
 // that changes the device's behaviour for an already-loaded test — row
 // repair, physics swap — so the next measurement re-executes the pattern.
-func (a *ATE) Reload() { a.haveCached = false; a.cachedName = "" }
+func (a *ATE) Reload() { a.haveCached, a.haveStaged = false, false; a.cachedName = "" }
 
 // load makes the test's profile current, computing it if the pattern memory
 // holds a different test. Tests are distinguished by name; generators give
@@ -139,11 +144,15 @@ func (a *ATE) load(t testgen.Test) (*dut.Profile, error) {
 	}
 	var p dut.Profile
 	var err error
-	if a.Profiler != nil {
+	switch {
+	case a.haveStaged && a.staged.Test.Name == t.Name:
+		p = a.staged
+	case a.Profiler != nil:
 		p, err = a.Profiler(a.dev, t)
-	} else {
+	default:
 		p, err = a.dev.Profile(t)
 	}
+	a.haveStaged = false
 	if err != nil {
 		return nil, err
 	}
@@ -152,6 +161,28 @@ func (a *ATE) load(t testgen.Test) (*dut.Profile, error) {
 	a.haveCached = true
 	a.stats.Profiles++
 	return &a.cached, nil
+}
+
+// ProfileOn executes the test's pattern the way this tester's pattern load
+// does — through Profiler when one is installed — but on dev, which must be
+// a clone of the tester's device owned by the calling goroutine. It lets
+// pattern execution run ahead on another core; StageProfile hands the
+// result back to the tester.
+func (a *ATE) ProfileOn(dev *dut.Device, t testgen.Test) (dut.Profile, error) {
+	if a.Profiler != nil {
+		return a.Profiler(dev, t)
+	}
+	return dev.Profile(t)
+}
+
+// StageProfile makes p — computed by ProfileOn for p.Test — the result of
+// the next pattern load of that test, which then skips executing the
+// pattern. Everything else about the load is unchanged: it is charged to
+// the cost counters, and the measurements see the same profile, so results
+// are bit-identical. The next load not served from pattern memory takes
+// or discards the staged profile; Reload discards it.
+func (a *ATE) StageProfile(p dut.Profile) {
+	a.staged, a.haveStaged = p, true
 }
 
 // chargeMeasurement accounts one pass/fail measurement of the test against

@@ -409,3 +409,52 @@ func TestResetStatsInvalidatesProfileCache(t *testing.T) {
 		t.Errorf("profiles after reset = %d, want 1 (cache must reset with stats)", got)
 	}
 }
+
+// TestStagedProfileMatchesExecutedLoad: a pattern executed on a device
+// clone (ProfileOn) and staged on the tester measures exactly like the
+// tester executing it itself — same search outcome, same cost counters —
+// and a staged profile never serves a different test or survives Reload.
+func TestStagedProfileMatchesExecutedLoad(t *testing.T) {
+	gen := testgen.NewRandomGenerator(5, dut.DefaultGeometry().Words(), testgen.DefaultConditionLimits())
+	executed, staged := testATE(t), testATE(t)
+	clone, err := staged.Device().Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	search1 := func(a *ATE, tt testgen.Test) search.Result {
+		t.Helper()
+		res, err := search.SuccessiveApproximation{}.Search(a.Measurer(TDQ, tt), TDQ.SearchOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for i := 0; i < 12; i++ {
+		tt, u := gen.Next(), gen.Next()
+		p, err := staged.ProfileOn(clone, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong, err := staged.ProfileOn(clone, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch i % 3 {
+		case 0:
+			staged.StageProfile(p)
+		case 1: // staged for another test: discarded, the load executes
+			staged.StageProfile(wrong)
+		case 2: // discarded by Reload, even under the loaded test's name
+			wrong.Test.Name = tt.Name
+			staged.StageProfile(wrong)
+			staged.Reload()
+			executed.Reload()
+		}
+		if got, want := search1(staged, tt), search1(executed, tt); got != want {
+			t.Fatalf("test %d: staged search %+v, executed %+v", i, got, want)
+		}
+		if staged.Stats() != executed.Stats() {
+			t.Fatalf("test %d: staged stats %+v, executed %+v", i, staged.Stats(), executed.Stats())
+		}
+	}
+}

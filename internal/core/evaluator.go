@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ate"
 	"repro/internal/parallel"
@@ -12,19 +13,20 @@ import (
 
 // parallelEvaluator measures GA fitness the way fig. 5 prescribes — "GA
 // fitness = TPV measurement via ATE using equation (2), (3) and (4)" — but
-// streams a whole generation over the flow's persistent fleet. The first
-// measured test runs a full-range search and establishes the reference trip
-// point (eq. 2, done serially); every later test costs only a handful of
-// SUTP steps from that reference, on the worker's forked tester insertion.
+// streams a whole generation over the flow's persistent fleet while the GA
+// is still breeding it. The first measured test runs a full-range search
+// and establishes the reference trip point (eq. 2, done serially); every
+// later test costs only a handful of SUTP steps from that reference, on the
+// worker's forked tester insertion.
 //
-// Determinism: task t (a global counter across batches) is measured on an
-// insertion reseeded with Seed + t, so its trip point depends only on the
-// test and the counter — never on which worker ran it or in what order.
-// Per-task cost counters are merged into the main tester in task order.
-// The memo-cache is consulted before dispatch and filled as results merge,
-// keyed by the test's structural fingerprint (sequence + conditions; the
-// flow is already scoped to one die and one parameter), so elites, migrants
-// and duplicate individuals never burn ATE time twice.
+// Determinism: measured task t (a global counter across batches) runs on
+// an insertion reseeded with Seed + t, so its trip point depends only on
+// the test and the counter — never on which worker ran it or in what
+// order. Per-task cost counters are merged into the main tester in task
+// order. The memo-cache is consulted as each child resolves and filled
+// after the batch, keyed by the test's structural fingerprint (sequence +
+// conditions; the flow is already scoped to one die and one parameter), so
+// elites, migrants and duplicate individuals never burn ATE time twice.
 type parallelEvaluator struct {
 	c         *Characterizer
 	opts      search.Options
@@ -45,11 +47,63 @@ type parallelEvaluator struct {
 	fleet      *parallel.Fleet
 	insertions []*ate.ATE
 
-	// resolve scratch reused across batches (fingerprints, batched cache
-	// lookups).
-	fps   []uint64
-	vals  []float64
-	found []bool
+	batch fitnessBatch
+}
+
+// fitnessBatch is the resolve state of one FitnessStream call, reused
+// across generations. Children resolve strictly in index order (turn), so
+// which child becomes a measured representative, and its task number, is
+// the same at every worker count.
+type fitnessBatch struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	turn int // the next child to resolve
+
+	tests []testgen.Test // child i, as produced
+	group []int          // child i's representative, or -1 for a memo hit
+	// Per representative r: the child it is, its fingerprint, its search
+	// outcome and cost, and (after delivery) its fitness.
+	repChild []int
+	repFP    []uint64
+	results  []search.Result
+	stats    []ate.Stats
+	repVal   []float64
+	reps     int
+	groupOf  map[uint64]int // in-batch fingerprint → representative
+}
+
+// reset sizes the scratch for an n-child batch.
+func (b *fitnessBatch) reset(n int) {
+	if b.cond.L == nil {
+		b.cond.L = &b.mu
+		b.groupOf = make(map[uint64]int)
+	}
+	if cap(b.tests) < n {
+		b.tests = make([]testgen.Test, n)
+		b.group = make([]int, n)
+		b.repChild = make([]int, n)
+		b.repFP = make([]uint64, n)
+		b.results = make([]search.Result, n)
+		b.stats = make([]ate.Stats, n)
+		b.repVal = make([]float64, n)
+	}
+	b.turn, b.reps = 0, 0
+	clear(b.groupOf)
+}
+
+// awaitTurn locks b.mu and waits until child i is the next to resolve.
+func (b *fitnessBatch) awaitTurn(i int) {
+	b.mu.Lock()
+	for b.turn != i {
+		b.cond.Wait()
+	}
+}
+
+// passTurn hands the turn to the next child and unlocks b.mu.
+func (b *fitnessBatch) passTurn() {
+	b.turn++
+	b.cond.Broadcast()
+	b.mu.Unlock()
 }
 
 func newParallelEvaluator(c *Characterizer) *parallelEvaluator {
@@ -92,13 +146,14 @@ func (e *parallelEvaluator) insertionFor(w int) (*ate.ATE, error) {
 }
 
 // measureTask runs one hermetic trip-point search on the forked insertion:
-// reseed, fresh SUTP anchored to the shared reference (when established),
-// search. Returns the search result and the task's cost counters.
-func (e *parallelEvaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64) (search.Result, ate.Stats, error) {
+// reseed, fresh SUTP anchored to the reference trip point rtp (when
+// anchored), search. Returns the search result and the task's cost
+// counters.
+func (e *parallelEvaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64, anchored bool, rtp float64) (search.Result, ate.Stats, error) {
 	wk.Reseed(seed)
 	s := &search.SUTP{SF: e.c.cfg.SearchFactor, Refine: true}
-	if e.haveRTP {
-		s.SetReference(e.rtp)
+	if anchored {
+		s.SetReference(rtp)
 	}
 	res, err := s.Search(wk.Measurer(e.c.cfg.Parameter, tt), e.opts)
 	return res, wk.Stats(), err
@@ -106,155 +161,150 @@ func (e *parallelEvaluator) measureTask(wk *ate.ATE, tt testgen.Test, seed int64
 
 // Fitness implements genetic.Evaluator for callers outside the batch path.
 func (e *parallelEvaluator) Fitness(t testgen.Test) (float64, error) {
-	fits, err := e.FitnessBatch([]testgen.Test{t})
+	fits, err := e.FitnessStream(1, func(int) testgen.Test { return t })
 	if err != nil {
 		return 0, err
 	}
 	return fits[0], nil
 }
 
-// FitnessBatch implements genetic.BatchEvaluator.
-func (e *parallelEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
-	out := make([]float64, len(tests))
-
-	// Resolve memoized tests and dedupe the rest by fingerprint, keeping
-	// first-appearance order so seeds and stats stay index-deterministic.
-	// With the cache disabled every test is its own group — the no-cache
-	// baseline measures every individual.
-	var (
-		reps    []int    // representative test index per group
-		fpOf    []uint64 // the representative's fingerprint
-		members [][]int  // test indices sharing the representative's value
-	)
+// FitnessStream implements genetic.BatchEvaluator as one fleet stage: the
+// GA's next(i) is the stage's producer, so child i is fingerprinted and
+// measured while the GA breeds child i+1. Each child resolves in index
+// order: a memo-cache hit is taken as is, a fingerprint already seen in
+// this batch makes the child a member of that representative's group, and
+// anything else becomes the next representative, measured with seed
+// Seed + taskSeq + its representative index. Lookups see only the
+// pre-batch cache (results are inserted after the stage, in representative
+// order), and with the cache disabled every child is its own
+// representative — the no-cache baseline measures every individual.
+//
+// Representatives stay serial until the first converged full-range search
+// sets the reference trip point: the child holds the resolve turn while it
+// measures, so every parallelism level sees the identical reference.
+func (e *parallelEvaluator) FitnessStream(n int, next func(i int) testgen.Test) ([]float64, error) {
+	out := make([]float64, n)
+	b := &e.batch
+	b.reset(n)
 	var hitsBefore, missBefore, droppedBefore int64
 	if e.cache != nil {
 		hitsBefore, missBefore, droppedBefore = e.cache.Hits(), e.cache.Misses(), e.cache.Dropped()
 	}
-	if cap(e.fps) < len(tests) {
-		e.fps = make([]uint64, len(tests))
-		e.vals = make([]float64, len(tests))
-		e.found = make([]bool, len(tests))
-	}
-	// Fingerprinting is pure per-test work: hash on the fleet into
-	// index-addressed slots, then resolve serially.
-	fps := e.fps[:len(tests)]
-	if err := parallel.ForEachOn(e.fleet, len(tests), func(i int) error {
-		fps[i] = tests[i].Fingerprint()
+	produce := func(i int) error {
+		b.tests[i] = next(i)
 		return nil
-	}); err != nil {
+	}
+	measure := func(wk *ate.ATE, i int) error { return e.resolveChild(wk, i, out) }
+	// merge folds child i into the flow in strict child order: a
+	// representative's cost counters (float-sum order must not depend on
+	// the worker count), telemetry and fitness, a member's fan-out. It
+	// rides the fleet's in-order delivery while later children are still
+	// measuring.
+	merge := func(i int) error {
+		r := b.group[i]
+		switch {
+		case r < 0: // memo hit, resolved by the worker
+		case b.repChild[r] == i:
+			e.c.ate.AddStats(b.stats[r])
+			res := b.results[r]
+			e.c.tel().RecordSearch(res.Measurements, e.budget, res.Converged)
+			// Non-converged searches still carry information: an all-fail
+			// range means the trip point is beyond the pass-side end
+			// (catastrophically bad, large WCR via the endpoint value); an
+			// all-pass range means huge margin (small WCR).
+			b.repVal[r] = wcr.For(res.TripPoint, e.spec, e.specIsMin)
+			out[i] = b.repVal[r]
+		default:
+			out[i] = b.repVal[r]
+		}
+		return nil
+	}
+	err := parallel.Stream(e.fleet, n, 0, produce, e.insertionFor, measure, merge)
+	clear(b.tests[:n])
+	if err != nil {
 		return nil, err
 	}
-	vals, found := e.vals[:len(tests)], e.found[:len(tests)]
-	if e.cache != nil {
-		// One stripe-grouped batch lookup instead of a lock round-trip per
-		// test; per-key hit/miss accounting is identical to sequential Gets.
-		e.cache.GetBatch(fps, vals, found)
-	}
-	groupOf := map[uint64]int{}
-	for i := range tests {
-		if e.cache != nil {
-			if found[i] {
-				out[i] = vals[i]
-				continue
-			}
-			if g, ok := groupOf[fps[i]]; ok {
-				members[g] = append(members[g], i)
-				continue
-			}
-			groupOf[fps[i]] = len(reps)
-		}
-		reps = append(reps, i)
-		fpOf = append(fpOf, fps[i])
-		members = append(members, []int{i})
-	}
-	// The resolve loop above is serial, so the cache-effectiveness deltas
-	// are deterministic regardless of the worker count below.
+	// The stage resolved every child in index order, so the cache deltas
+	// and the insertion order below are deterministic regardless of the
+	// worker count.
 	if e.cache != nil {
 		e.c.tel().RecordCacheLookups(e.cache.Hits()-hitsBefore, e.cache.Misses()-missBefore, e.budget)
-	}
-	if len(reps) == 0 {
-		return out, nil
-	}
-
-	results := make([]search.Result, len(reps))
-	taskStats := make([]ate.Stats, len(reps))
-
-	// merge folds task t's outcome into the flow in strict task order: cost
-	// counters (float-sum order must not depend on the worker count),
-	// telemetry, memoization and fan-out to duplicate individuals. It rides
-	// the fleet's in-order delivery while later tasks are still measuring.
-	merge := func(t int) {
-		e.c.ate.AddStats(taskStats[t])
-		e.c.tel().RecordSearch(results[t].Measurements, e.budget, results[t].Converged)
-		// Non-converged searches still carry information: an all-fail
-		// range means the trip point is beyond the pass-side end
-		// (catastrophically bad, large WCR via the endpoint value); an
-		// all-pass range means huge margin (small WCR).
-		v := wcr.For(results[t].TripPoint, e.spec, e.specIsMin)
-		if e.cache != nil {
-			e.cache.Put(fpOf[t], v)
+		for r := 0; r < b.reps; r++ {
+			e.cache.Put(b.repFP[r], b.repVal[r])
 		}
-		for _, m := range members[t] {
-			out[m] = v
-		}
-	}
-
-	// Establish the reference trip point serially: the full-range search
-	// (eq. 2) happens once, before any fan-out, so every parallelism level
-	// sees the identical reference.
-	start := 0
-	for ; start < len(reps) && !e.haveRTP; start++ {
-		wk, err := e.insertionFor(0)
-		if err != nil {
-			return nil, err
-		}
-		res, st, err := e.measureTask(wk, tests[reps[start]], e.c.cfg.Seed+e.taskSeq+int64(start))
-		if err != nil {
-			return nil, fmt.Errorf("core: evaluating %s: %w", tests[reps[start]].Name, err)
-		}
-		results[start] = res
-		taskStats[start] = st
-		if res.Converged {
-			e.rtp = res.TripPoint
-			e.haveRTP = true
-		}
-	}
-
-	measure := func(wk *ate.ATE, i int) error {
-		t := start + i
-		res, st, err := e.measureTask(wk, tests[reps[t]], e.c.cfg.Seed+e.taskSeq+int64(t))
-		if err != nil {
-			return fmt.Errorf("core: evaluating %s: %w", tests[reps[t]].Name, err)
-		}
-		results[t] = res
-		taskStats[t] = st
-		return nil
-	}
-
-	// The serial prefix merges immediately (it is already in task order),
-	// then the remaining unique tests stream over the persistent insertions
-	// with the merge riding the in-order delivery — no generation barrier
-	// between measurement and selection input.
-	for t := 0; t < start; t++ {
-		merge(t)
-	}
-	if n := len(reps) - start; n > 0 {
-		err := parallel.Stream(e.fleet, n, 0, e.insertionFor, measure, func(i int) error {
-			merge(start + i)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.taskSeq += int64(len(reps))
-	e.evaluations += int64(len(reps))
-	// The merge loop above is serial, so the capacity-drop delta is as
-	// deterministic as the lookup deltas.
-	if e.cache != nil {
 		e.c.tel().RecordCacheDropped(e.cache.Dropped() - droppedBefore)
 	}
+	e.taskSeq += int64(b.reps)
+	e.evaluations += int64(b.reps)
 	return out, nil
+}
+
+// resolveChild is the stage task for child i: fingerprint and memo lookup
+// (pure, so they run out of order), then the in-order resolve, then — for
+// a representative — the measurement on worker insertion wk.
+func (e *parallelEvaluator) resolveChild(wk *ate.ATE, i int, out []float64) error {
+	b := &e.batch
+	passed := false
+	defer func() {
+		if !passed {
+			// Only a panic gets here: still pass the turn so the children
+			// after i resolve and the stage drains.
+			b.awaitTurn(i)
+			b.passTurn()
+		}
+	}()
+	tt := b.tests[i]
+	fp := tt.Fingerprint()
+	var v float64
+	var hit bool
+	if e.cache != nil {
+		v, hit = e.cache.Get(fp)
+	}
+
+	b.awaitTurn(i)
+	r := -1
+	if g, dup := b.groupOf[fp]; hit {
+		out[i], b.group[i] = v, -1
+	} else if dup {
+		b.group[i] = g
+	} else {
+		r = b.reps
+		b.reps++
+		b.group[i], b.repChild[r], b.repFP[r] = r, i, fp
+		if e.cache != nil {
+			b.groupOf[fp] = r
+		}
+	}
+	if r < 0 {
+		passed = true
+		b.passTurn()
+		return nil
+	}
+	anchored, rtp := e.haveRTP, e.rtp
+	seed := e.c.cfg.Seed + e.taskSeq + int64(r)
+	if anchored {
+		passed = true
+		b.passTurn()
+	} else {
+		b.mu.Unlock()
+	}
+
+	res, st, err := e.measureTask(wk, tt, seed, anchored, rtp)
+	b.results[r], b.stats[r] = res, st
+	if !anchored {
+		// The serial reference search: the turn was held, so no later
+		// child resolved before the reference is known.
+		b.mu.Lock()
+		if err == nil && res.Converged {
+			e.rtp, e.haveRTP = res.TripPoint, true
+		}
+		passed = true
+		b.passTurn()
+	}
+	if err != nil {
+		return fmt.Errorf("core: evaluating %s: %w", tt.Name, err)
+	}
+	return nil
 }
 
 // cacheHits returns how many fitness lookups the memo-cache absorbed.

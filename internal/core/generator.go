@@ -27,9 +27,10 @@ type Candidate struct {
 // severity ties toward higher confidence.
 //
 // Candidate generation is serial (the generator owns one random stream),
-// but feature extraction and surrogate scoring fan across the worker pool:
-// each worker encodes a candidate and votes with its own ensemble scratch
-// arena (the trained weights are read-only), writing severities into
+// so it is the stage's producer: candidate i is drawn on the producer
+// goroutine while the fleet already scores the candidates before it. Each
+// worker encodes a candidate and votes with its own ensemble scratch arena
+// (the trained weights are read-only), writing severities into
 // index-addressed slots, so the ranking is bit-identical for any
 // Parallelism.
 func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
@@ -43,8 +44,9 @@ func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 	limits := c.gen.Limits()
 	ens := c.learned.Ensemble
 	pool := make([]Candidate, c.cfg.CandidatePool)
-	for i := range pool {
+	draw := func(i int) error {
 		pool[i].Test = c.gen.Next()
+		return nil
 	}
 	score := func(s *neural.EnsembleScratch, i int) error {
 		pred, conf, err := ens.VoteInto(s, testgen.ExtractFeatures(pool[i].Test, limits))
@@ -61,12 +63,12 @@ func (c *Characterizer) ProposeSeeds() ([]Candidate, error) {
 	if c.voteScratch == nil {
 		c.voteScratch = make([]*neural.EnsembleScratch, f.Size())
 	}
-	err := parallel.RunOn(f, len(pool), func(w int) (*neural.EnsembleScratch, error) {
+	err := parallel.Stream(f, len(pool), 0, draw, func(w int) (*neural.EnsembleScratch, error) {
 		if c.voteScratch[w] == nil {
 			c.voteScratch[w] = ens.NewScratch()
 		}
 		return c.voteScratch[w], nil
-	}, score)
+	}, score, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -36,6 +36,12 @@ func noiselessEvaluator(t *testing.T, seed int64, workers int, disableCache bool
 	return newParallelEvaluator(char)
 }
 
+// fitnessOf evaluates an already-built batch through the streaming
+// evaluator.
+func fitnessOf(e *parallelEvaluator, tests []testgen.Test) ([]float64, error) {
+	return e.FitnessStream(len(tests), func(i int) testgen.Test { return tests[i] })
+}
+
 // genUniqueTests draws n tests with pairwise distinct fingerprints (the
 // dedupe key), discarding the case in the astronomically unlikely event
 // the generator cannot produce them.
@@ -78,7 +84,7 @@ func TestFitnessBatchBitEquivalentAcrossWorkersAndCache(t *testing.T) {
 		}
 		pt.Logf("seed=%d workers=%d batch=%d (3 duplicates)", seed, workers, len(tests))
 
-		baseline, err := noiselessEvaluator(t, seed, 1, false).FitnessBatch(tests)
+		baseline, err := fitnessOf(noiselessEvaluator(t, seed, 1, false), tests)
 		if err != nil {
 			pt.Fatalf("serial cached evaluation: %v", err)
 		}
@@ -92,7 +98,7 @@ func TestFitnessBatchBitEquivalentAcrossWorkersAndCache(t *testing.T) {
 			{"parallel+nocache", workers, true},
 		}
 		for _, v := range variants {
-			got, err := noiselessEvaluator(t, seed, v.workers, v.disableCache).FitnessBatch(tests)
+			got, err := fitnessOf(noiselessEvaluator(t, seed, v.workers, v.disableCache), tests)
 			if err != nil {
 				pt.Fatalf("%s evaluation: %v", v.label, err)
 			}
@@ -130,7 +136,7 @@ func TestFitnessBatchOrderInvariance(t *testing.T) {
 		}
 		pt.Logf("seed=%d n=%d perm=%v", seed, n, perm)
 
-		forward, err := noiselessEvaluator(t, seed, 1, false).FitnessBatch(tests)
+		forward, err := fitnessOf(noiselessEvaluator(t, seed, 1, false), tests)
 		if err != nil {
 			pt.Fatalf("forward evaluation: %v", err)
 		}
@@ -138,7 +144,7 @@ func TestFitnessBatchOrderInvariance(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = tests[p]
 		}
-		permuted, err := noiselessEvaluator(t, seed, 1, false).FitnessBatch(shuffled)
+		permuted, err := fitnessOf(noiselessEvaluator(t, seed, 1, false), shuffled)
 		if err != nil {
 			pt.Fatalf("permuted evaluation: %v", err)
 		}

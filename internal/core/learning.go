@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/ate"
+	"repro/internal/dut"
 	"repro/internal/neural"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 	"repro/internal/testgen"
 	"repro/internal/trippoint"
@@ -46,11 +49,12 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 
 	limits := c.gen.Limits()
 	res := &LearningResult{}
-	for i := 0; i < c.cfg.LearnTests; i++ {
-		t := c.gen.Next()
+	feats := make([][]float64, c.cfg.LearnTests)
+	encode := func(i int, t testgen.Test) { feats[i] = testgen.ExtractFeatures(t, limits) }
+	measure := func(i int, t testgen.Test) error {
 		m, err := runner.Measure(t)
 		if err != nil {
-			return nil, fmt.Errorf("core: learning measurement %d: %w", i, err)
+			return fmt.Errorf("core: learning measurement %d: %w", i, err)
 		}
 		tel.RecordSearch(m.Measurements, budget, m.Converged)
 		tel.RecordItem("learn-test", i+1, c.cfg.LearnTests)
@@ -63,13 +67,18 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 		if !m.Converged {
 			// Outside the generous range — skip as unlearnable, matching
 			// ATE practice of flagging range violations for re-setup.
-			continue
+			return nil
 		}
 		res.Tests = append(res.Tests, t)
 		res.Dataset = append(res.Dataset, neural.Sample{
-			Input:  testgen.ExtractFeatures(t, limits),
+			Input:  feats[i],
 			Target: c.coder.Encode(m.TripPoint),
 		})
+		return nil
+	}
+	next := func(int) testgen.Test { return c.gen.Next() }
+	if err := measureInOrder(c.Fleet(), c.ate, c.cfg.LearnTests, 0, next, encode, measure); err != nil {
+		return nil, err
 	}
 	res.DSV = runner.DSV()
 	if len(res.Dataset) < 10 {
@@ -115,6 +124,57 @@ func (c *Characterizer) Learn() (*LearningResult, error) {
 
 	c.learned = res
 	return res, nil
+}
+
+// measureInOrder is the serial-measurement loop of Learn and the Table 1
+// random row as one fleet stage. The producer draws test i with next; a
+// worker executes its pattern on a private clone of the tester's device
+// and runs work (pure per-test work, may be nil); then measure runs on the
+// calling goroutine in test order, with the pattern staged on the tester
+// so its load does not execute it again. The measurement itself stays on
+// the tester, in order, because its thermal model is sequential state.
+// window bounds how many drawn tests are alive ahead of their measurement
+// (0: unbounded).
+func measureInOrder(f *parallel.Fleet, tester *ate.ATE, n, window int, next func(i int) testgen.Test,
+	work func(i int, t testgen.Test), measure func(i int, t testgen.Test) error) error {
+	tests := make([]testgen.Test, n)
+	profiles := make([]dut.Profile, n)
+	staged := make([]bool, n)
+	// The clones are made before the stage, while nothing else touches the
+	// tester's device.
+	devs := make([]*dut.Device, parallel.Bound(f.Size(), n))
+	for w := range devs {
+		dev, err := tester.Device().Clone()
+		if err != nil {
+			return fmt.Errorf("core: cloning the device for pattern execution: %w", err)
+		}
+		devs[w] = dev
+	}
+	return parallel.Stream(f, n, window,
+		func(i int) error {
+			tests[i] = next(i)
+			return nil
+		},
+		func(w int) (*dut.Device, error) { return devs[w], nil },
+		func(dev *dut.Device, i int) error {
+			// A pattern that fails to execute is left unstaged: the
+			// tester's own load then fails on it with its usual error.
+			if p, err := tester.ProfileOn(dev, tests[i]); err == nil {
+				profiles[i], staged[i] = p, true
+			}
+			if work != nil {
+				work(i, tests[i])
+			}
+			return nil
+		},
+		func(i int) error {
+			t := tests[i]
+			if staged[i] {
+				tester.StageProfile(profiles[i])
+			}
+			tests[i], profiles[i] = testgen.Test{}, dut.Profile{}
+			return measure(i, t)
+		})
 }
 
 // Learned returns the learning result, or nil before Learn ran.

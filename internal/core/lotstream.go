@@ -303,7 +303,7 @@ func ScreenLotStream(param ate.Parameter, tests []testgen.Test, src dut.DieSourc
 
 	// A window of batch/chunk chunks keeps every claimed-but-unmerged die
 	// within batch consecutive lot indices, so ring slots never collide.
-	if err := parallel.Stream(fleet, chunks, batch/chunk, newWorker, screenChunk, merge); err != nil {
+	if err := parallel.Stream(fleet, chunks, batch/chunk, nil, newWorker, screenChunk, merge); err != nil {
 		return nil, err
 	}
 

@@ -176,7 +176,7 @@ func TestMeasurementCacheMemoizes(t *testing.T) {
 	dup.Name = "duplicate-of-2"
 	tests = append(tests, dup)
 
-	first, err := eval.FitnessBatch(tests)
+	first, err := fitnessOf(eval, tests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestMeasurementCacheMemoizes(t *testing.T) {
 	}
 
 	before := char.ATE().Stats().Measurements
-	second, err := eval.FitnessBatch(tests)
+	second, err := fitnessOf(eval, tests)
 	if err != nil {
 		t.Fatal(err)
 	}

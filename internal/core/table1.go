@@ -77,6 +77,10 @@ func DefaultTable1Config(seed int64) Table1Config {
 	}
 }
 
+// randomDrawWindow bounds how many random-row tests are drawn and executed
+// ahead of their measurement.
+const randomDrawWindow = 16
+
 // RunTable1 reproduces Table 1: the deterministic March baseline, the best
 // of a pure random set, and the NN+GA flow, each reported with the worst
 // WCR it found and the ATE measurements it spent.
@@ -128,6 +132,14 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 		Measurements: rowStats.Measurements,
 	})
 
+	// The NN + GA row's flow is wired up front: its fleet also serves the
+	// random row.
+	char, err := NewCharacterizer(flowCfg, tester)
+	if err != nil {
+		return nil, err
+	}
+	defer char.Close()
+
 	// --- Row 2: pure random multiple-trip-point set ----------------------
 	tester.ResetStats()
 	ph = tel.StartPhase("table1-random")
@@ -136,16 +148,20 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	runner := trippoint.NewRunner(tester, param)
 	runnerBudget := runner.Options.FullRangeBudget()
 	ranking = wcr.NewRanking(spec, isMin)
-	for i := 0; i < cfg.RandomTests; i++ {
-		t := gen.Next()
+	measure := func(_ int, t testgen.Test) error {
 		m, err := runner.Measure(t)
 		if err != nil {
-			return nil, fmt.Errorf("core: random baseline: %w", err)
+			return fmt.Errorf("core: random baseline: %w", err)
 		}
 		tel.RecordSearch(m.Measurements, runnerBudget, m.Converged)
 		if m.Converged {
 			ranking.Add(t.Name, m.TripPoint)
 		}
+		return nil
+	}
+	next := func(int) testgen.Test { return gen.Next() }
+	if err := measureInOrder(char.Fleet(), tester, cfg.RandomTests, randomDrawWindow, next, nil, measure); err != nil {
+		return nil, err
 	}
 	worst, ok := ranking.Worst()
 	if !ok {
@@ -169,11 +185,6 @@ func RunTable1(cfg Table1Config, tester *ate.ATE) (*Table1, error) {
 	// phases cover this row's cost, keeping the report's phase breakdown a
 	// partition (no double counting).
 	tester.ResetStats()
-	char, err := NewCharacterizer(flowCfg, tester)
-	if err != nil {
-		return nil, err
-	}
-	defer char.Close()
 	if _, err := char.Learn(); err != nil {
 		return nil, err
 	}

@@ -19,11 +19,11 @@ func (e *countingBatchEvaluator) Fitness(t testgen.Test) (float64, error) {
 	return activityFitness(t)
 }
 
-func (e *countingBatchEvaluator) FitnessBatch(tests []testgen.Test) ([]float64, error) {
-	e.batches = append(e.batches, len(tests))
-	out := make([]float64, len(tests))
-	for i, tt := range tests {
-		f, err := activityFitness(tt)
+func (e *countingBatchEvaluator) FitnessStream(n int, next func(i int) testgen.Test) ([]float64, error) {
+	e.batches = append(e.batches, n)
+	out := make([]float64, n)
+	for i := range out {
+		f, err := activityFitness(next(i))
 		if err != nil {
 			return nil, err
 		}
@@ -112,10 +112,17 @@ func TestBatchEvaluatorErrorPropagates(t *testing.T) {
 	}
 }
 
-// batchFn adapts a function to the FitnessBatch method for test composition.
+// batchFn adapts a function over a whole generation to the FitnessStream
+// method for test composition: it drains the stream, then scores.
 type batchFn func(tests []testgen.Test) ([]float64, error)
 
-func (f batchFn) FitnessBatch(tests []testgen.Test) ([]float64, error) { return f(tests) }
+func (f batchFn) FitnessStream(n int, next func(i int) testgen.Test) ([]float64, error) {
+	tests := make([]testgen.Test, n)
+	for i := range tests {
+		tests[i] = next(i)
+	}
+	return f(tests)
+}
 
 func TestBatchLengthMismatchRejected(t *testing.T) {
 	short := struct {

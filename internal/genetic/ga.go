@@ -121,82 +121,112 @@ func (o *Optimizer) newIndividual(seq testgen.Sequence, cond testgen.Conditions)
 	return &Individual{Seq: seq, Cond: cond, ID: o.nextID}
 }
 
-// initIslands seeds island 0 with the provided seeds (NN candidates) and
-// fills everything else randomly.
-func (o *Optimizer) initIslands(seeds []Seed) {
+// initial returns the producer of the first generation: island 0 starts
+// with the provided seeds (NN candidates), everything else is filled
+// randomly. Like every generation producer it yields individual i of the
+// island-major generation, for i = 0, 1, 2, … in order.
+func (o *Optimizer) initial(seeds []Seed) func(i int) *Individual {
 	o.islands = make([][]*Individual, o.cfg.Islands)
 	o.eraBest = make([]*Individual, o.cfg.Islands)
 	o.stall = make([]int, o.cfg.Islands)
-	si := 0
-	for i := range o.islands {
-		pop := make([]*Individual, 0, o.cfg.PopSize)
-		for len(pop) < o.cfg.PopSize {
-			if si < len(seeds) {
-				s := seeds[si]
-				si++
-				pop = append(pop, o.newIndividual(s.Seq.Clone(), s.Cond))
-				continue
-			}
-			seq, cond := o.ops.RandomIndividual(o.cfg.FixedConditions)
-			pop = append(pop, o.newIndividual(seq, cond))
+	return func(i int) *Individual {
+		if i < len(seeds) {
+			s := seeds[i]
+			return o.newIndividual(s.Seq.Clone(), s.Cond)
 		}
-		o.islands[i] = pop
-	}
-}
-
-// restartIsland replaces an island with a brand-new random population,
-// banking its era best.
-func (o *Optimizer) restartIsland(i int, res *Result) {
-	if b := o.eraBest[i]; b != nil {
-		res.EraBests = append(res.EraBests, b.Clone())
-	}
-	pop := make([]*Individual, 0, o.cfg.PopSize)
-	for len(pop) < o.cfg.PopSize {
 		seq, cond := o.ops.RandomIndividual(o.cfg.FixedConditions)
-		pop = append(pop, o.newIndividual(seq, cond))
+		return o.newIndividual(seq, cond)
 	}
-	o.islands[i] = pop
-	o.eraBest[i] = nil
-	o.stall[i] = 0
-	res.Restarts++
 }
 
-// evaluateGeneration measures every unevaluated individual across all
-// islands at once, then ranks each island by fitness. Collecting the whole
-// generation island-major before measuring is what lets a BatchEvaluator
-// fan the work across parallel workers; a plain Evaluator is called
-// serially in the same island-major order.
-func (o *Optimizer) evaluateGeneration(res *Result) error {
-	var pending []*Individual
-	for _, pop := range o.islands {
-		for _, ind := range pop {
-			if !ind.Evaluated {
-				pending = append(pending, ind)
+// breeder returns the producer of the next generation, bred from the
+// current (evaluated, ranked, migrated) islands one individual at a time:
+// per island either a brand-new random population (a stagnating island
+// restarts, banking its era best) or the elites followed by mutated
+// offspring. It runs while the individuals it already yielded are being
+// measured, so it reads only the current islands and writes only what it
+// yields plus the restart bookkeeping, which nothing else touches until
+// the generation has been evaluated.
+func (o *Optimizer) breeder(res *Result) func(i int) *Individual {
+	var restarting bool
+	return func(i int) *Individual {
+		isl, k := i/o.cfg.PopSize, i%o.cfg.PopSize
+		pop := o.islands[isl]
+		if k == 0 {
+			restarting = o.cfg.StagnationLimit > 0 && o.stall[isl] >= o.cfg.StagnationLimit
+			if restarting {
+				if b := o.eraBest[isl]; b != nil {
+					res.EraBests = append(res.EraBests, b.Clone())
+				}
+				o.eraBest[isl] = nil
+				o.stall[isl] = 0
+				res.Restarts++
 			}
 		}
+		if restarting {
+			seq, cond := o.ops.RandomIndividual(o.cfg.FixedConditions)
+			return o.newIndividual(seq, cond)
+		}
+		if k < o.cfg.Elite {
+			// Clone-and-invalidate: the clone keeps the elite from aliasing
+			// the old generation (the batch evaluator hands individuals to
+			// concurrent workers and must own each one exclusively); its
+			// fitness is requested again, which a memoizing evaluator
+			// answers from cache for free while a noise-resampling one
+			// re-draws it.
+			elite := pop[k].Clone()
+			elite.Evaluated = false
+			return elite
+		}
+		p1 := o.ops.Tournament(pop, o.cfg.TournamentK)
+		var childSeq testgen.Sequence
+		var childCond testgen.Conditions
+		if o.ops.Chance(o.cfg.CrossoverRate) {
+			p2 := o.ops.Tournament(pop, o.cfg.TournamentK)
+			childSeq = o.ops.CrossoverSeq(p1.Seq, p2.Seq)
+			childCond = o.ops.CrossoverCond(p1.Cond, p2.Cond)
+		} else {
+			childSeq = p1.Seq.Clone()
+			childCond = p1.Cond
+		}
+		childSeq = o.ops.MutateSeq(childSeq)
+		if o.cfg.FixedConditions == nil {
+			childCond = o.ops.MutateCond(childCond)
+		}
+		return o.newIndividual(childSeq, childCond)
 	}
+}
+
+// evaluateGeneration produces the next generation with produce and
+// measures it: a BatchEvaluator receives the whole island-major generation
+// as one stream, so breeding overlaps measurement; a plain Evaluator is
+// called serially in the same order once the generation exists. The
+// measured individuals replace the islands, each ranked by fitness.
+func (o *Optimizer) evaluateGeneration(res *Result, produce func(i int) *Individual) error {
+	n := o.cfg.Islands * o.cfg.PopSize
+	gen := make([]*Individual, n)
 	switch be := o.eval.(type) {
 	case BatchEvaluator:
-		if len(pending) > 0 {
-			tests := make([]testgen.Test, len(pending))
-			for i, ind := range pending {
-				tests[i] = ind.Test()
-			}
-			fits, err := be.FitnessBatch(tests)
-			if err != nil {
-				return fmt.Errorf("genetic: evaluating generation batch: %w", err)
-			}
-			if len(fits) != len(pending) {
-				return fmt.Errorf("genetic: batch evaluator returned %d fitnesses for %d tests", len(fits), len(pending))
-			}
-			for i, ind := range pending {
-				ind.Fitness = fits[i]
-				ind.Evaluated = true
-			}
-			res.Evaluations += len(pending)
+		fits, err := be.FitnessStream(n, func(i int) testgen.Test {
+			gen[i] = produce(i)
+			return gen[i].Test()
+		})
+		if err != nil {
+			return fmt.Errorf("genetic: evaluating generation batch: %w", err)
 		}
+		if len(fits) != n {
+			return fmt.Errorf("genetic: batch evaluator returned %d fitnesses for %d tests", len(fits), n)
+		}
+		for i, ind := range gen {
+			ind.Fitness = fits[i]
+			ind.Evaluated = true
+		}
+		res.Evaluations += n
 	default:
-		for _, ind := range pending {
+		for i := range gen {
+			gen[i] = produce(i)
+		}
+		for _, ind := range gen {
 			f, err := o.eval.Fitness(ind.Test())
 			if err != nil {
 				return fmt.Errorf("genetic: evaluating %s: %w", ind.Test().Name, err)
@@ -206,8 +236,10 @@ func (o *Optimizer) evaluateGeneration(res *Result) error {
 			res.Evaluations++
 		}
 	}
-	for _, pop := range o.islands {
+	for i := range o.islands {
+		pop := gen[i*o.cfg.PopSize : (i+1)*o.cfg.PopSize : (i+1)*o.cfg.PopSize]
 		sort.SliceStable(pop, func(a, b int) bool { return pop[a].Fitness > pop[b].Fitness })
+		o.islands[i] = pop
 	}
 	return nil
 }
@@ -215,12 +247,12 @@ func (o *Optimizer) evaluateGeneration(res *Result) error {
 // Run executes the GA until the generation cap or the fitness target.
 func (o *Optimizer) Run(seeds []Seed) (*Result, error) {
 	res := &Result{}
-	o.initIslands(seeds)
+	produce := o.initial(seeds)
 
 	var globalBest *Individual
 	for gen := 0; gen < o.cfg.MaxGenerations; gen++ {
 		res.Generations = gen + 1
-		if err := o.evaluateGeneration(res); err != nil {
+		if err := o.evaluateGeneration(res, produce); err != nil {
 			return res, err
 		}
 		for i, pop := range o.islands {
@@ -268,43 +300,17 @@ func (o *Optimizer) Run(seeds []Seed) (*Result, error) {
 			}
 		}
 
-		// Breed the next generation per island.
-		for i, pop := range o.islands {
-			if o.stall[i] >= o.cfg.StagnationLimit && o.cfg.StagnationLimit > 0 {
-				o.restartIsland(i, res)
-				continue
-			}
-			next := make([]*Individual, 0, o.cfg.PopSize)
-			for e := 0; e < o.cfg.Elite && e < len(pop); e++ {
-				// Clone-and-invalidate: the clone keeps the elite from
-				// aliasing the old generation (the batch evaluator hands
-				// individuals to concurrent workers and must own each one
-				// exclusively); invalidating re-requests its fitness next
-				// generation, which a memoizing evaluator answers from
-				// cache for free while a noise-resampling one re-draws it.
-				elite := pop[e].Clone()
-				elite.Evaluated = false
-				next = append(next, elite)
-			}
-			for len(next) < o.cfg.PopSize {
-				p1 := o.ops.Tournament(pop, o.cfg.TournamentK)
-				var childSeq testgen.Sequence
-				var childCond testgen.Conditions
-				if o.ops.Chance(o.cfg.CrossoverRate) {
-					p2 := o.ops.Tournament(pop, o.cfg.TournamentK)
-					childSeq, _ = o.ops.CrossoverSeq(p1.Seq, p2.Seq)
-					childCond = o.ops.CrossoverCond(p1.Cond, p2.Cond)
-				} else {
-					childSeq = p1.Seq.Clone()
-					childCond = p1.Cond
-				}
-				childSeq = o.ops.MutateSeq(childSeq)
-				if o.cfg.FixedConditions == nil {
-					childCond = o.ops.MutateCond(childCond)
-				}
-				next = append(next, o.newIndividual(childSeq, childCond))
-			}
-			o.islands[i] = next
+		// The next generation is bred inside its own evaluation stream.
+		produce = o.breeder(res)
+	}
+	if !res.TargetHit {
+		// The cap ends the run after one more breeding round that is never
+		// evaluated. It still runs: it draws from the operators' generator,
+		// which the flow shares with later phases, and it performs (and
+		// counts) the restarts of islands that stagnated in the last
+		// generation.
+		for i := 0; i < o.cfg.Islands*o.cfg.PopSize; i++ {
+			produce(i)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package genetic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -279,6 +280,17 @@ func TestGAOnGenerationCallback(t *testing.T) {
 	for i, b := range bests {
 		if b != res.BestHistory[i] {
 			t.Errorf("callback best %g != history %g at gen %d", b, res.BestHistory[i], i)
+		}
+	}
+}
+
+// TestIndividualTestNameMatchesFmt: individuals are named exactly as
+// fmt.Sprintf("GA-%06d", ID) named them, across the six-digit edge.
+func TestIndividualTestNameMatchesFmt(t *testing.T) {
+	for _, id := range []int{1, 42, 99999, 999999, 1000000, 1234567} {
+		ind := &Individual{ID: id}
+		if got, want := ind.Test().Name, fmt.Sprintf("GA-%06d", id); got != want {
+			t.Errorf("ID %d named %q, want %q", id, got, want)
 		}
 	}
 }

@@ -9,8 +9,6 @@
 package genetic
 
 import (
-	"fmt"
-
 	"repro/internal/testgen"
 )
 
@@ -32,7 +30,7 @@ type Individual struct {
 // Test materializes the individual as a runnable characterization test.
 func (ind *Individual) Test() testgen.Test {
 	return testgen.Test{
-		Name: fmt.Sprintf("GA-%06d", ind.ID),
+		Name: testgen.SerialName("GA-", ind.ID, 6),
 		Seq:  ind.Seq,
 		Cond: ind.Cond,
 	}
@@ -57,16 +55,23 @@ type Evaluator interface {
 	Fitness(t testgen.Test) (float64, error)
 }
 
-// BatchEvaluator is an Evaluator that can measure a whole generation's
-// worth of tests at once. When the optimizer's evaluator implements it,
-// every unevaluated individual of a generation — all islands — is handed
-// over in a single FitnessBatch call, which is where the parallel
-// measurement engine fans the tests across workers. The returned slice
-// must hold one fitness per test, index-aligned, and must not depend on
-// how the implementation schedules the measurements.
+// BatchEvaluator is an Evaluator that measures a whole generation's worth
+// of tests in one streamed call. When the optimizer's evaluator implements
+// it, every individual of a generation — all islands, island-major — goes
+// through a single FitnessStream call, which is where the parallel
+// measurement engine fans the tests across workers while the optimizer is
+// still breeding the rest of the generation.
+//
+// FitnessStream measures tests 0..n-1 and returns one fitness per test,
+// index-aligned. next(i) yields test i: the implementation calls it exactly
+// once per index, in index order, possibly on a goroutine of its own and
+// concurrently with measuring earlier tests, and every call has returned
+// before FitnessStream does. After an error, next may not have been called
+// for every index. The fitnesses must not depend on how the implementation
+// schedules the measurements.
 type BatchEvaluator interface {
 	Evaluator
-	FitnessBatch(tests []testgen.Test) ([]float64, error)
+	FitnessStream(n int, next func(i int) testgen.Test) ([]float64, error)
 }
 
 // EvaluatorFunc adapts a function to the Evaluator interface.

@@ -43,21 +43,25 @@ func NewOperators(seed int64, gen *testgen.RandomGenerator) *Operators {
 
 // CrossoverSeq recombines two sequence chromosomes with proportional
 // one-point cut-and-splice: the cut sits at the same relative position in
-// both parents so offspring lengths stay within the parents' range.
-func (o *Operators) CrossoverSeq(a, b testgen.Sequence) (testgen.Sequence, testgen.Sequence) {
+// both parents so the offspring length stays within the parents' range.
+// Only the child headed by a is built; its twin (b's head, a's tail) is
+// never used, but the generator draw that clamping the twin would make is
+// still made, so the random stream matches two-child recombination.
+func (o *Operators) CrossoverSeq(a, b testgen.Sequence) testgen.Sequence {
 	if len(a) == 0 || len(b) == 0 {
-		return a.Clone(), b.Clone()
+		return a.Clone()
 	}
 	frac := o.rng.Float64()
 	ca := int(frac * float64(len(a)))
 	cb := int(frac * float64(len(b)))
-	child1 := make(testgen.Sequence, 0, ca+len(b)-cb)
-	child1 = append(child1, a[:ca]...)
-	child1 = append(child1, b[cb:]...)
-	child2 := make(testgen.Sequence, 0, cb+len(a)-ca)
-	child2 = append(child2, b[:cb]...)
-	child2 = append(child2, a[ca:]...)
-	return o.clampLen(child1), o.clampLen(child2)
+	child := make(testgen.Sequence, 0, ca+len(b)-cb)
+	child = append(child, a[:ca]...)
+	child = append(child, b[cb:]...)
+	child = o.clampLen(child)
+	if twin := cb + len(a) - ca; twin < testgen.MinSequenceLen {
+		o.gen.Sequence(testgen.MinSequenceLen - twin)
+	}
+	return child
 }
 
 // clampLen keeps sequences inside the paper's 100–1000 cycle regime.
@@ -74,7 +78,9 @@ func (o *Operators) clampLen(s testgen.Sequence) testgen.Sequence {
 // MutateSeq applies per-vector redraws plus, with BlockMutationRate
 // probability, one structural mutation: either a fresh random block splice
 // or a tandem duplication of an existing block (duplication concentrates
-// activity, which is how the GA discovers resonant bursts).
+// activity, which is how the GA discovers resonant bursts). It mutates s in
+// place — the caller hands over a sequence it owns, such as a freshly bred
+// child — and returns the length-clamped result.
 func (o *Operators) MutateSeq(s testgen.Sequence) testgen.Sequence {
 	out := o.gen.PerturbSequence(s, o.SeqMutationRate)
 	if o.rng.Float64() < o.BlockMutationRate && len(out) > 8 {
@@ -89,9 +95,7 @@ func (o *Operators) MutateSeq(s testgen.Sequence) testgen.Sequence {
 			copy(out[pos:pos+blockLen], fresh)
 		} else {
 			// Duplicate the block immediately after itself.
-			dst := pos + blockLen
-			n := copy(out[dst:], out[pos:pos+blockLen])
-			_ = n
+			copy(out[pos+blockLen:], out[pos:pos+blockLen])
 		}
 	}
 	return o.clampLen(out)

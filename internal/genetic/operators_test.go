@@ -1,6 +1,7 @@
 package genetic
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/testgen"
@@ -11,8 +12,8 @@ func TestCrossoverSeqLengthsAndValidity(t *testing.T) {
 	gen := testgen.NewRandomGenerator(2, 4096, testgen.DefaultConditionLimits())
 	a, b := gen.Sequence(300), gen.Sequence(700)
 	for i := 0; i < 50; i++ {
-		c1, c2 := ops.CrossoverSeq(a, b)
-		for _, c := range []testgen.Sequence{c1, c2} {
+		// Both parent orders: the second yields what used to be the twin.
+		for _, c := range []testgen.Sequence{ops.CrossoverSeq(a, b), ops.CrossoverSeq(b, a)} {
 			if len(c) < testgen.MinSequenceLen || len(c) > testgen.MaxSequenceLen {
 				t.Fatalf("offspring length %d outside bounds", len(c))
 			}
@@ -33,7 +34,7 @@ func TestCrossoverSeqMixesParents(t *testing.T) {
 	}
 	sawMix := false
 	for i := 0; i < 20 && !sawMix; i++ {
-		c1, _ := ops.CrossoverSeq(a, b)
+		c1 := ops.CrossoverSeq(a, b)
 		has1, has2 := false, false
 		for _, v := range c1 {
 			if v.Addr == 1 {
@@ -53,9 +54,55 @@ func TestCrossoverSeqMixesParents(t *testing.T) {
 func TestCrossoverSeqEmptyParents(t *testing.T) {
 	ops := newOps(5)
 	var empty testgen.Sequence
-	c1, c2 := ops.CrossoverSeq(empty, empty)
+	c1, c2 := ops.CrossoverSeq(empty, empty), ops.CrossoverSeq(empty, nil)
 	if len(c1) != 0 || len(c2) != 0 {
 		t.Error("empty parents produced offspring")
+	}
+}
+
+// crossoverTwoChildren is the two-child recombination CrossoverSeq
+// replaced, kept as the reference for its random stream.
+func crossoverTwoChildren(o *Operators, a, b testgen.Sequence) (testgen.Sequence, testgen.Sequence) {
+	if len(a) == 0 || len(b) == 0 {
+		return a.Clone(), b.Clone()
+	}
+	frac := o.rng.Float64()
+	ca := int(frac * float64(len(a)))
+	cb := int(frac * float64(len(b)))
+	child1 := make(testgen.Sequence, 0, ca+len(b)-cb)
+	child1 = append(child1, a[:ca]...)
+	child1 = append(child1, b[cb:]...)
+	child2 := make(testgen.Sequence, 0, cb+len(a)-ca)
+	child2 = append(child2, b[:cb]...)
+	child2 = append(child2, a[ca:]...)
+	return o.clampLen(child1), o.clampLen(child2)
+}
+
+// TestCrossoverSeqMatchesTwoChildReference pins the one-child operator to
+// the two-child one it replaced: the same kept child and, through the
+// discarded twin's clamp draw, the same generator stream afterwards —
+// including parents short enough that the twin needs padding.
+func TestCrossoverSeqMatchesTwoChildReference(t *testing.T) {
+	lens := []int{0, 1, 40, 99, 100, 101, 150, 300, 999, 1000, 1200}
+	for seed := int64(1); seed <= 4; seed++ {
+		src := testgen.NewRandomGenerator(100+seed, 4096, testgen.DefaultConditionLimits())
+		got, ref := newOps(seed), newOps(seed)
+		for _, la := range lens {
+			for _, lb := range lens {
+				a, b := src.Sequence(la), src.Sequence(lb)
+				child := got.CrossoverSeq(a, b)
+				want, _ := crossoverTwoChildren(ref, a, b)
+				if !reflect.DeepEqual(child, want) {
+					t.Fatalf("seed %d, parents %d/%d: child differs from the two-child reference", seed, la, lb)
+				}
+				if g, w := got.gen.Sequence(3), ref.gen.Sequence(3); !reflect.DeepEqual(g, w) {
+					t.Fatalf("seed %d, parents %d/%d: generator stream diverged after crossover", seed, la, lb)
+				}
+				if g, w := got.rng.Int63(), ref.rng.Int63(); g != w {
+					t.Fatalf("seed %d, parents %d/%d: operator stream diverged after crossover", seed, la, lb)
+				}
+			}
+		}
 	}
 }
 
@@ -64,7 +111,7 @@ func TestMutateSeqKeepsBoundsAndValidity(t *testing.T) {
 	gen := testgen.NewRandomGenerator(8, 4096, testgen.DefaultConditionLimits())
 	s := gen.Sequence(150)
 	for i := 0; i < 50; i++ {
-		m := ops.MutateSeq(s)
+		m := ops.MutateSeq(s.Clone())
 		if len(m) < testgen.MinSequenceLen || len(m) > testgen.MaxSequenceLen {
 			t.Fatalf("mutant length %d", len(m))
 		}
@@ -79,7 +126,7 @@ func TestMutateSeqChangesSomething(t *testing.T) {
 	ops.SeqMutationRate = 0.2
 	gen := testgen.NewRandomGenerator(10, 4096, testgen.DefaultConditionLimits())
 	s := gen.Sequence(300)
-	m := ops.MutateSeq(s)
+	m := ops.MutateSeq(s.Clone())
 	diff := 0
 	for i := range m {
 		if i < len(s) && m[i] != s[i] {

@@ -23,9 +23,10 @@ import (
 // invariance property test).
 //
 // Reads and writes are safe from any goroutine. Determinism callers care
-// about: resolve lookups and insert results at deterministic points (for
-// batch engines, before dispatch and after the batch completes in task
-// order), not concurrently from racing workers.
+// about: lookups may race — a Get changes no entry, and the hit/miss totals
+// are sums — but results are inserted at deterministic points (for batch
+// engines, after the batch completes, in task order), never concurrently
+// from racing workers.
 type MemoCache struct {
 	shards []memoShard
 	mask   uint64
@@ -161,131 +162,6 @@ func (c *MemoCache) Put(key uint64, value float64) {
 	}
 	s.m[key] = value
 	s.mu.Unlock()
-}
-
-// GetBatch resolves keys[i] into vals[i]/ok[i] for every i, equivalent to a
-// loop of Get calls but grouped by lock stripe: the keys are visited in
-// stripe order so each stripe's lock is taken once per batch instead of
-// once per key — the hot-resolve form used by the fitness and lot engines,
-// whose serial pre-dispatch resolve touches a whole generation or window at
-// a time. Hit/miss accounting is identical to the sequential loop (one hit
-// or miss per key, added in bulk). vals and ok must be at least as long as
-// keys.
-func (c *MemoCache) GetBatch(keys []uint64, vals []float64, ok []bool) {
-	if len(keys) == 0 {
-		return
-	}
-	if len(c.shards) == 1 {
-		s := &c.shards[0]
-		var hits int64
-		s.mu.RLock()
-		for i, k := range keys {
-			v, found := s.m[k]
-			vals[i], ok[i] = v, found
-			if found {
-				hits++
-			}
-		}
-		s.mu.RUnlock()
-		c.hits.Add(hits)
-		c.miss.Add(int64(len(keys)) - hits)
-		return
-	}
-	// Order the key indices by stripe (counting sort over the stripe index:
-	// O(keys + stripes), no comparison sort) and walk each stripe's run
-	// under one RLock.
-	order, starts := c.stripeOrder(keys)
-	var hits int64
-	for sIdx := range c.shards {
-		lo, hi := starts[sIdx], starts[sIdx+1]
-		if lo == hi {
-			continue
-		}
-		s := &c.shards[sIdx]
-		s.mu.RLock()
-		for _, i := range order[lo:hi] {
-			v, found := s.m[keys[i]]
-			vals[i], ok[i] = v, found
-			if found {
-				hits++
-			}
-		}
-		s.mu.RUnlock()
-	}
-	c.hits.Add(hits)
-	c.miss.Add(int64(len(keys)) - hits)
-}
-
-// PutBatch memoizes keys[i] → vals[i] for every i. Unbounded caches take
-// the stripe-grouped fast path (one Lock per touched stripe; duplicate keys
-// within the batch keep their slice order, so the last write wins exactly
-// like sequential Puts). Under a SetLimit capacity the retained set is
-// defined as a pure function of the Put order, which stripe grouping would
-// reorder — so capped caches fall back to sequential Puts and stay
-// bit-compatible.
-func (c *MemoCache) PutBatch(keys []uint64, vals []float64) {
-	if len(keys) == 0 {
-		return
-	}
-	if c.limit.Load() > 0 {
-		for i, k := range keys {
-			c.Put(k, vals[i])
-		}
-		return
-	}
-	if len(c.shards) == 1 {
-		s := &c.shards[0]
-		var added int64
-		s.mu.Lock()
-		for i, k := range keys {
-			if _, exists := s.m[k]; !exists {
-				added++
-			}
-			s.m[k] = vals[i]
-		}
-		s.mu.Unlock()
-		c.count.Add(added)
-		return
-	}
-	order, starts := c.stripeOrder(keys)
-	var added int64
-	for sIdx := range c.shards {
-		lo, hi := starts[sIdx], starts[sIdx+1]
-		if lo == hi {
-			continue
-		}
-		s := &c.shards[sIdx]
-		s.mu.Lock()
-		for _, i := range order[lo:hi] {
-			if _, exists := s.m[keys[i]]; !exists {
-				added++
-			}
-			s.m[keys[i]] = vals[i]
-		}
-		s.mu.Unlock()
-	}
-	c.count.Add(added)
-}
-
-// stripeOrder counting-sorts the key indices by stripe: order holds the
-// indices grouped by stripe (slice order preserved within a stripe, so
-// same-key writes stay ordered), starts[s]..starts[s+1] is stripe s's run.
-func (c *MemoCache) stripeOrder(keys []uint64) (order []int, starts []int) {
-	counts := make([]int, len(c.shards)+1)
-	for _, k := range keys {
-		counts[(k&c.mask)+1]++
-	}
-	for s := 1; s < len(counts); s++ {
-		counts[s] += counts[s-1]
-	}
-	starts = append([]int(nil), counts...)
-	order = make([]int, len(keys))
-	for i, k := range keys {
-		s := k & c.mask
-		order[counts[s]] = i
-		counts[s]++
-	}
-	return order, starts
 }
 
 // Len returns the number of memoized entries.

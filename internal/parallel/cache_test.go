@@ -178,163 +178,3 @@ func BenchmarkMemoCacheContention(b *testing.B) {
 		})
 	}
 }
-
-// The batch-equivalence property: GetBatch and PutBatch are bit-compatible
-// with the sequential Get/Put loops they replace — same values found, same
-// hit/miss accounting, same retained set (including last-write-wins for
-// duplicate keys within a batch and reject-at-capacity under SetLimit).
-func TestMemoCacheBatchEquivalence(t *testing.T) {
-	proptest.Check(t, 60, func(pt *proptest.T) {
-		stripes := proptest.Pick(pt, []int{1, 4, 32})
-		limit := 0
-		if pt.Bool() {
-			limit = pt.IntRange(1, 16)
-		}
-		// A small key universe forces in-batch duplicates and overwrites.
-		keys := make([]uint64, pt.IntRange(1, 20))
-		for i := range keys {
-			keys[i] = pt.Uint64()
-		}
-		nRounds := pt.IntRange(1, 5)
-		type round struct {
-			putK []uint64
-			putV []float64
-			getK []uint64
-		}
-		rounds := make([]round, nRounds)
-		for r := range rounds {
-			np, ng := pt.IntRange(0, 30), pt.IntRange(0, 30)
-			rounds[r].putK = make([]uint64, np)
-			rounds[r].putV = make([]float64, np)
-			for i := 0; i < np; i++ {
-				rounds[r].putK[i] = proptest.Pick(pt, keys)
-				rounds[r].putV[i] = pt.Float01()
-			}
-			rounds[r].getK = make([]uint64, ng)
-			for i := 0; i < ng; i++ {
-				rounds[r].getK[i] = proptest.Pick(pt, keys)
-			}
-		}
-		pt.Logf("stripes=%d limit=%d rounds=%d keys=%d", stripes, limit, nRounds, len(keys))
-
-		seq := NewMemoCacheStripes(stripes)
-		bat := NewMemoCacheStripes(stripes)
-		seq.SetLimit(limit)
-		bat.SetLimit(limit)
-		for r, rd := range rounds {
-			for i, k := range rd.putK {
-				seq.Put(k, rd.putV[i])
-			}
-			bat.PutBatch(rd.putK, rd.putV)
-			wantV := make([]float64, len(rd.getK))
-			wantOK := make([]bool, len(rd.getK))
-			for i, k := range rd.getK {
-				wantV[i], wantOK[i] = seq.Get(k)
-			}
-			gotV := make([]float64, len(rd.getK))
-			gotOK := make([]bool, len(rd.getK))
-			bat.GetBatch(rd.getK, gotV, gotOK)
-			for i := range rd.getK {
-				if gotV[i] != wantV[i] || gotOK[i] != wantOK[i] {
-					pt.Fatalf("round %d get[%d] key %#x: batch %v/%v, sequential %v/%v",
-						r, i, rd.getK[i], gotV[i], gotOK[i], wantV[i], wantOK[i])
-				}
-			}
-		}
-		if seq.Hits() != bat.Hits() || seq.Misses() != bat.Misses() {
-			pt.Fatalf("hits/misses batch %d/%d, sequential %d/%d",
-				bat.Hits(), bat.Misses(), seq.Hits(), seq.Misses())
-		}
-		if seq.Len() != bat.Len() || seq.Dropped() != bat.Dropped() {
-			pt.Fatalf("len/dropped batch %d/%d, sequential %d/%d",
-				bat.Len(), bat.Dropped(), seq.Len(), seq.Dropped())
-		}
-		retained := map[uint64]float64{}
-		seq.Range(func(k uint64, v float64) bool { retained[k] = v; return true })
-		bat.Range(func(k uint64, v float64) bool {
-			if want, ok := retained[k]; !ok || want != v {
-				pt.Errorf("entry %#x = %v, sequential has %v (present %v)", k, v, want, ok)
-			}
-			return true
-		})
-	})
-}
-
-func TestMemoCacheBatchDuplicateKeysLastWriteWins(t *testing.T) {
-	for _, stripes := range []int{1, 8} {
-		c := NewMemoCacheStripes(stripes)
-		c.PutBatch(
-			[]uint64{7, 7, 7, 13, 7},
-			[]float64{1, 2, 3, 9, 4},
-		)
-		if c.Len() != 2 {
-			t.Errorf("stripes=%d: len = %d, want 2", stripes, c.Len())
-		}
-		if v, ok := c.Get(7); !ok || v != 4 {
-			t.Errorf("stripes=%d: key 7 = %v/%v, want 4/true (last write wins)", stripes, v, ok)
-		}
-		if v, ok := c.Get(13); !ok || v != 9 {
-			t.Errorf("stripes=%d: key 13 = %v/%v, want 9/true", stripes, v, ok)
-		}
-	}
-}
-
-func TestMemoCacheBatchEmpty(t *testing.T) {
-	c := NewMemoCacheStripes(4)
-	c.GetBatch(nil, nil, nil)
-	c.PutBatch(nil, nil)
-	if c.Len() != 0 || c.Hits() != 0 || c.Misses() != 0 {
-		t.Errorf("empty batches mutated the cache: len=%d hits=%d misses=%d",
-			c.Len(), c.Hits(), c.Misses())
-	}
-}
-
-// BenchmarkMemoCacheBatch is the satellite microbenchmark: stripe-grouped
-// batch resolve versus the per-key Get/Put loop it replaces, at the
-// generation-sized batches the fitness engine uses.
-func BenchmarkMemoCacheBatch(b *testing.B) {
-	const batch = 256
-	keys := make([]uint64, batch)
-	vals := make([]float64, batch)
-	found := make([]bool, batch)
-	for i := range keys {
-		keys[i] = uint64(i) * 0x9e3779b97f4a7c15
-		vals[i] = float64(i)
-	}
-	for _, stripes := range []int{1, 64} {
-		b.Run(fmt.Sprintf("get-loop/stripes-%d", stripes), func(b *testing.B) {
-			c := NewMemoCacheStripes(stripes)
-			c.PutBatch(keys, vals)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, k := range keys {
-					vals[j], found[j] = c.Get(k)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("get-batch/stripes-%d", stripes), func(b *testing.B) {
-			c := NewMemoCacheStripes(stripes)
-			c.PutBatch(keys, vals)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.GetBatch(keys, vals, found)
-			}
-		})
-		b.Run(fmt.Sprintf("put-loop/stripes-%d", stripes), func(b *testing.B) {
-			c := NewMemoCacheStripes(stripes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, k := range keys {
-					c.Put(k, vals[j])
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("put-batch/stripes-%d", stripes), func(b *testing.B) {
-			c := NewMemoCacheStripes(stripes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.PutBatch(keys, vals)
-			}
-		})
-	}
-}

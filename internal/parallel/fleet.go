@@ -142,9 +142,9 @@ func SetFleetObserver(fn FleetObserver) {
 }
 
 // stage is one Stream execution: tasks 0..n-1 claimed in index order by the
-// participating workers, completion flags signalled to the delivering
-// caller, and a run-ahead gate that keeps claims within window of the
-// delivery floor.
+// participating workers as their items are produced, completion flags
+// signalled to the delivering caller, and a run-ahead gate that keeps
+// production and claims within window of the delivery floor.
 type stage struct {
 	n       int
 	window  int
@@ -156,6 +156,8 @@ type stage struct {
 	mu       sync.Mutex
 	cond     sync.Cond
 	next     int  // next unclaimed task index
+	avail    int  // items produced so far; claims stay below it
+	fed      bool // production is over (finished or failed at index avail)
 	floor    int  // tasks delivered so far; gates claims when window > 0
 	open     bool // lifted gate: drain without waiting on delivery
 	failures int  // workers whose init failed
@@ -184,11 +186,11 @@ func (st *stage) work(w int) {
 	}
 	for {
 		st.mu.Lock()
-		for !st.open && st.window > 0 && st.next >= st.floor+st.window && st.next < st.n {
+		for st.claimBlocked() {
 			st.cond.Wait()
 		}
 		i := st.next
-		if i >= st.n {
+		if i >= st.avail { // fed: nothing more will be produced
 			st.mu.Unlock()
 			return
 		}
@@ -213,6 +215,50 @@ func (st *stage) work(w int) {
 	}
 }
 
+// claimBlocked reports whether the next claim must wait: for its item to be
+// produced, or for delivery to catch up with the run-ahead window (called
+// with st.mu held).
+func (st *stage) claimBlocked() bool {
+	if st.next >= st.avail {
+		return !st.fed
+	}
+	return st.gated(st.next)
+}
+
+// gated reports whether index i lies beyond the run-ahead window (called
+// with st.mu held).
+func (st *stage) gated(i int) bool {
+	return !st.open && st.window > 0 && i >= st.floor+st.window
+}
+
+// feed is the producer goroutine: it makes items 0..n-1 in index order,
+// publishing each one for claiming as soon as it exists. A failed item i
+// takes task i's slot — its error or panic is reported under index i, and
+// no later item is produced — so the stage's lowest-index rules treat it
+// exactly like a failing task.
+func (st *stage) feed(produce func(i int) error, panics []any, stacks [][]byte, taskErrs []error) {
+	defer st.wg.Done()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i := 0; i < st.n; i++ {
+		for st.gated(i) {
+			st.cond.Wait()
+		}
+		st.mu.Unlock()
+		err := runProduce(produce, i, panics, stacks)
+		st.mu.Lock()
+		if err != nil || panics[i] != nil {
+			taskErrs[i] = err
+			st.done[i] = 1
+			break
+		}
+		st.avail = i + 1
+		st.cond.Broadcast()
+	}
+	st.fed = true
+	st.cond.Broadcast()
+}
+
 // Stream executes tasks 0..n-1 on the fleet and delivers their results
 // strictly in index order while later tasks are still executing. Each
 // participating worker obtains its resource via newWorker (memoize by
@@ -232,13 +278,27 @@ func (st *stage) work(w int) {
 // the stage, so a memory-bounded pipeline and an unbounded one can share a
 // fleet.
 //
+// produce, when non-nil, makes the stage's input: produce(i) is called
+// exactly once per index, in index order, on a goroutine of its own, and
+// task i becomes claimable as soon as produce(i) has returned — so a
+// serial producer (a random generator, a GA breeding loop) overlaps the
+// workers instead of filling the whole batch before the fleet may start.
+// The window gates production like claims (item i is not produced until
+// task i−window has been delivered). Stream returns only after the
+// producer has finished, so state it mutates is quiescent again when the
+// caller resumes. With one worker nothing is spawned: produce(i), task i
+// and deliver(i) run inline in that order. A nil produce means the items
+// already exist.
+//
 // Error semantics mirror Run: every task still runs when some fail
 // (delivery stops at the first failed index, and with one worker the tasks
 // after an error are skipped, exactly like Run's inline path); the
 // lowest-index task panic is re-panicked as a TaskPanic after the stage
 // drains; otherwise the lowest-worker construction error, then the
-// lowest-index task error, then the first deliver error is returned.
-func Stream[W any](f *Fleet, n, window int, newWorker func(w int) (W, error), task func(wk W, i int) error, deliver func(i int) error) error {
+// lowest-index task error, then the first deliver error is returned. A
+// producer error or panic at index i counts as task i's and ends
+// production there: tasks below i still run, none above it exists.
+func Stream[W any](f *Fleet, n, window int, produce func(i int) error, newWorker func(w int) (W, error), task func(wk W, i int) error, deliver func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -266,6 +326,15 @@ func Stream[W any](f *Fleet, n, window int, newWorker func(w int) (W, error), ta
 		}
 		var deliverErr error
 		for i := 0; i < n; i++ {
+			if produce != nil {
+				err := runProduce(produce, i, panics, stacks)
+				if panics[i] != nil {
+					panic(TaskPanic{Task: i, Value: panics[i], Stack: stacks[i]})
+				}
+				if err != nil {
+					return err
+				}
+			}
 			err := runStreamTask(wk, i, task, panics, stacks)
 			if panics[i] != nil {
 				panic(TaskPanic{Task: i, Value: panics[i], Stack: stacks[i]})
@@ -311,6 +380,9 @@ func Stream[W any](f *Fleet, n, window int, newWorker func(w int) (W, error), ta
 
 	st := &stage{n: n, window: window, workers: np, timed: fobs != nil, done: make([]uint8, n)}
 	st.cond.L = &st.mu
+	if produce == nil {
+		st.avail, st.fed = n, true
+	}
 	st.init = func(w int) error {
 		if !resInit[w] {
 			wk, err := newWorker(w)
@@ -329,6 +401,10 @@ func Stream[W any](f *Fleet, n, window int, newWorker func(w int) (W, error), ta
 	}
 
 	st.wg.Add(f.nw)
+	if produce != nil {
+		st.wg.Add(1)
+		go st.feed(produce, panics, stacks, taskErrs)
+	}
 	for _, ch := range f.chans {
 		ch <- st
 	}
@@ -420,15 +496,27 @@ func runStreamTask[W any](wk W, i int, task func(wk W, i int) error, panics []an
 	return task(wk, i)
 }
 
+// runProduce makes item i with panic capture; a panic lands in task i's
+// slot, where the stage's lowest-index rules find it.
+func runProduce(produce func(i int) error, i int, panics []any, stacks [][]byte) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			panics[i] = r
+			stacks[i] = debug.Stack()
+		}
+	}()
+	return produce(i)
+}
+
 // RunOn executes tasks 0..n-1 on the fleet with no delivery callback — the
 // persistent-pool form of Run.
 func RunOn[W any](f *Fleet, n int, newWorker func(w int) (W, error), task func(wk W, i int) error) error {
-	return Stream(f, n, 0, newWorker, task, nil)
+	return Stream(f, n, 0, nil, newWorker, task, nil)
 }
 
 // ForEachOn runs fn(i) for every i in [0, n) on the fleet, for tasks that
 // need no worker-owned resource.
 func ForEachOn(f *Fleet, n int, fn func(i int) error) error {
-	return Stream(f, n, 0, func(int) (struct{}, error) { return struct{}{}, nil },
+	return Stream(f, n, 0, nil, func(int) (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, i int) error { return fn(i) }, nil)
 }

@@ -14,7 +14,7 @@ func TestStreamDeliversInOrder(t *testing.T) {
 		f := NewFleet(workers)
 		results := make([]int, 20)
 		var delivered []int
-		err := Stream(f, 20, 0,
+		err := Stream(f, 20, 0, nil,
 			func(w int) (int, error) { return w, nil },
 			func(_ int, i int) error { results[i] = i * i; return nil },
 			func(i int) error {
@@ -85,7 +85,7 @@ func TestStreamWindowBoundsRunAhead(t *testing.T) {
 		SetFleetObserver(func(s StreamStats) { stats = s })
 		f := NewFleet(4)
 		sum := 0
-		err := Stream(f, 40, window,
+		err := Stream(f, 40, window, nil,
 			func(w int) (struct{}, error) { return struct{}{}, nil },
 			func(_ struct{}, i int) error { return nil },
 			func(i int) error { sum += i; return nil })
@@ -110,7 +110,7 @@ func TestStreamTaskErrorLowestIndexWins(t *testing.T) {
 	defer f.Close()
 	var ran atomic.Int32
 	var delivered atomic.Int32
-	err := Stream(f, 10, 0,
+	err := Stream(f, 10, 0, nil,
 		func(w int) (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, i int) error {
 			ran.Add(1)
@@ -136,7 +136,7 @@ func TestStreamDeliverErrorStopsDelivery(t *testing.T) {
 	defer f.Close()
 	sentinel := errors.New("merge failed")
 	var delivered atomic.Int32
-	err := Stream(f, 9, 0,
+	err := Stream(f, 9, 0, nil,
 		func(w int) (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, i int) error { return nil },
 		func(i int) error {
@@ -199,7 +199,7 @@ func TestStreamPanicDeterministicLowestIndex(t *testing.T) {
 		var streamErr error
 		rec := func() (rec any) {
 			defer func() { rec = recover() }()
-			streamErr = Stream(f, 12, 0,
+			streamErr = Stream(f, 12, 0, nil,
 				func(w int) (struct{}, error) { return struct{}{}, nil },
 				func(_ struct{}, i int) error {
 					ran.Add(1)
@@ -264,7 +264,7 @@ func TestStreamZeroTasks(t *testing.T) {
 	f := NewFleet(4)
 	defer f.Close()
 	called := false
-	err := Stream(f, 0, 0,
+	err := Stream(f, 0, 0, nil,
 		func(w int) (struct{}, error) { called = true; return struct{}{}, nil },
 		func(_ struct{}, i int) error { called = true; return nil },
 		func(i int) error { called = true; return nil })
@@ -366,7 +366,7 @@ func TestFleetMatchesRunProperty(t *testing.T) {
 			}
 		}
 
-		// Fleet: persistent workers across stages, pre-dispatch batch cache
+		// Fleet: persistent workers across stages, pre-dispatch cache
 		// resolve, streamed in-order merge.
 		fleetMerged := make([][]float64, stages)
 		var fleetCacheHits, fleetCacheMiss int64
@@ -380,13 +380,11 @@ func TestFleetMatchesRunProperty(t *testing.T) {
 				vals := make([]float64, n)
 				resolved := make([]bool, n)
 				if cache != nil {
-					keys := make([]uint64, n)
-					for i := range keys {
-						keys[i] = uint64(i)
+					for i := 0; i < n; i++ {
+						vals[i], resolved[i] = cache.Get(uint64(i))
 					}
-					cache.GetBatch(keys, vals, resolved)
 				}
-				err := Stream(f, n, window,
+				err := Stream(f, n, window, nil,
 					func(w int) (struct{}, error) { return struct{}{}, nil },
 					func(_ struct{}, i int) error {
 						if !resolved[i] {

@@ -121,7 +121,7 @@ func Run[W any](n, workers int, newWorker func(w int) (W, error), task func(wk W
 	}
 	f := NewFleet(Bound(workers, n))
 	defer f.Close()
-	return Stream(f, n, 0, newWorker, task, nil)
+	return Stream(f, n, 0, nil, newWorker, task, nil)
 }
 
 // ForEach runs fn(i) for every i in [0, n) on the bounded pool, for tasks

@@ -1,8 +1,8 @@
 package testgen
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // RandomGenerator produces non-deterministic random tests in the sense of §3
@@ -76,10 +76,25 @@ func (g *RandomGenerator) Next() Test {
 	seq := g.Sequence(n)
 	cond := g.Conditions()
 	return Test{
-		Name: fmt.Sprintf("RND-%04d", g.count),
+		Name: SerialName("RND-", g.count, 4),
 		Seq:  seq,
 		Cond: cond,
 	}
+}
+
+// SerialName formats prefix followed by n zero-padded to width digits —
+// the string fmt.Sprintf(prefix+"%0*d", width, n) returns for n >= 0 —
+// without fmt's reflection, for the names minted once per generated test
+// and GA individual.
+func SerialName(prefix string, n, width int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	for pad := width - len(d); pad > 0; pad-- {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // Conditions draws random test conditions inside the limits, or the fixed
@@ -191,12 +206,12 @@ func (g *RandomGenerator) Batch(n int) []Test {
 	return out
 }
 
-// PerturbSequence returns a copy of seq with roughly rate·len(seq) vectors
-// re-drawn. The GA mutation operator delegates here so mutated sequences
-// stay inside the generator's address space.
+// PerturbSequence re-draws roughly rate·len(seq) vectors of seq in place
+// and returns it. The GA mutation operator delegates here so mutated
+// sequences stay inside the generator's address space; it only ever
+// perturbs children it has just built, so no copy is needed.
 func (g *RandomGenerator) PerturbSequence(seq Sequence, rate float64) Sequence {
-	out := seq.Clone()
-	for i := range out {
+	for i := range seq {
 		if g.rng.Float64() < rate {
 			op := OpRead
 			if g.rng.Float64() < 0.5 {
@@ -206,10 +221,10 @@ func (g *RandomGenerator) PerturbSequence(seq Sequence, rate float64) Sequence {
 			if op == OpWrite {
 				v.Data = g.rng.Uint32()
 			}
-			out[i] = v
+			seq[i] = v
 		}
 	}
-	return out
+	return seq
 }
 
 // AddrSpace returns the address-space size the generator draws from.

@@ -1,6 +1,9 @@
 package testgen
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -105,12 +108,12 @@ func TestPerturbSequence(t *testing.T) {
 	g := newGen(10)
 	orig := g.Sequence(500)
 
-	same := g.PerturbSequence(orig, 0)
+	same := g.PerturbSequence(orig.Clone(), 0)
 	if !reflect.DeepEqual(same, orig) {
 		t.Error("zero-rate perturbation altered the sequence")
 	}
 
-	all := g.PerturbSequence(orig, 1)
+	all := g.PerturbSequence(orig.Clone(), 1)
 	if len(all) != len(orig) {
 		t.Fatalf("perturbation changed length %d → %d", len(orig), len(all))
 	}
@@ -143,4 +146,30 @@ func TestNewRandomGeneratorPanicsOnZeroAddrSpace(t *testing.T) {
 		}
 	}()
 	NewRandomGenerator(1, 0, DefaultConditionLimits())
+}
+
+// TestSerialNameMatchesFmt: the strconv-built test names equal the
+// fmt.Sprintf zero-padded forms they replaced — "RND-%04d" for generated
+// tests, "GA-%06d" for GA individuals — on sampled serials of every
+// magnitude and at each width edge.
+func TestSerialNameMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	serials := []int{0, 1, 9, 10, 999, 1000, 9999, 10000, 99999, 999999, 1000000, 12345678, math.MaxInt32}
+	for i := 0; i < 2000; i++ {
+		serials = append(serials, int(rng.Int63n(int64(1)<<uint(1+rng.Intn(40)))))
+	}
+	for _, n := range serials {
+		if got, want := SerialName("RND-", n, 4), fmt.Sprintf("RND-%04d", n); got != want {
+			t.Fatalf("SerialName(RND-, %d, 4) = %q, fmt gives %q", n, got, want)
+		}
+		if got, want := SerialName("GA-", n, 6), fmt.Sprintf("GA-%06d", n); got != want {
+			t.Fatalf("SerialName(GA-, %d, 6) = %q, fmt gives %q", n, got, want)
+		}
+	}
+	g := newGen(3)
+	for i := 1; i <= 3; i++ {
+		if got, want := g.Next().Name, fmt.Sprintf("RND-%04d", i); got != want {
+			t.Errorf("test %d named %q, want %q", i, got, want)
+		}
+	}
 }
