@@ -35,6 +35,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzWeightFileParse$$' -fuzztime 10s ./internal/neural/
 	go test -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime 10s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzPromEncode$$' -fuzztime 10s ./internal/obs/
+	go test -run '^$$' -fuzz '^FuzzDieRecordDecode$$' -fuzztime 10s ./internal/core/
 
 # Every paper table/figure benchmark, one iteration each.
 bench:

@@ -65,10 +65,10 @@ type Common struct {
 
 	// Embedded marks a Common owned by an in-process host (the job service)
 	// rather than a binary: StartTelemetry then leaves the process-wide
-	// parallel pool/fleet observers alone (they are global, last-wins state
-	// — concurrent jobs would cross-pollute each other's ND stats) and never
+	// parallel fleet observer alone (it is global, last-wins state —
+	// concurrent jobs would cross-pollute each other's ND stats) and never
 	// starts an observability server of its own. Trace bytes are unaffected
-	// either way: the global observers only feed nd_ metrics.
+	// either way: the global observer only feeds nd_ metrics.
 	Embedded bool
 
 	// CheckCancel, when non-nil, is polled by the flow runners at phase
@@ -312,7 +312,7 @@ func (c *Common) TelemetryEnabled() bool {
 }
 
 // StartTelemetry opens the run telemetry the flags describe and installs
-// the worker-pool observer. With -listen set it also starts the live
+// the fleet observer. With -listen set it also starts the live
 // observability HTTP server and announces its address on stderr; with
 // -listen or -crash-dir it attaches the flight recorder (bounded event ring
 // + runtime/metrics sampler) and, when -stall-timeout is set, the stall
@@ -356,7 +356,6 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 	c.runName = runName
 	c.tel = tel
 
-	poolObserver := parallel.Observer(tel.ObservePool)
 	progress := c.extProgress
 	var recorder *flight.Recorder
 	if progress == nil && c.Listen != "" {
@@ -369,35 +368,6 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 		c.flight = recorder
 	}
 	tel.SetRunObserver(telemetry.MultiObserver(progress, recorder))
-	if progress != nil || recorder != nil {
-		poolObserver = func(workers int, tasksPerWorker []int) {
-			tel.ObservePool(workers, tasksPerWorker)
-			total := 0
-			for _, n := range tasksPerWorker {
-				total += n
-			}
-			progress.PoolRun(workers, total)
-			recorder.PoolRun(workers, total)
-		}
-	}
-	// Fleet stream stats mirror the pool observer's quarantine: nd_ gauges
-	// in the registry (excluded from determinism diffs), the /progress
-	// non_deterministic section and the flight ring. Both observers are
-	// process-wide (last-wins) globals, so an Embedded run — one of several
-	// concurrent jobs in a host process — must not install them.
-	if !c.Embedded {
-		reg := tel.Registry()
-		parallel.SetFleetObserver(func(st parallel.StreamStats) {
-			reg.Counter("nd_fleet_streams_total").Add(1)
-			reg.Gauge("nd_fleet_queue_depth").Set(float64(st.MaxRunAhead))
-			reg.Gauge("nd_fleet_utilization").Set(st.Utilization())
-			reg.Gauge("nd_fleet_overlap_ratio").Set(st.OverlapRatio())
-			progress.FleetStream(st.Workers, st.Tasks, st.MaxRunAhead, st.Utilization(), st.OverlapRatio())
-			if recorder != nil {
-				recorder.FleetStream(st.Workers, st.Tasks, st.MaxRunAhead, st.Utilization(), st.OverlapRatio())
-			}
-		})
-	}
 	if recorder != nil {
 		c.sampStop = recorder.StartSampler(flight.DefaultSampleInterval)
 	}
@@ -418,8 +388,31 @@ func (c *Common) StartTelemetry(runName string) (*telemetry.Telemetry, error) {
 		c.server = srv
 		fmt.Fprintf(os.Stderr, "obs: serving http://%s/ (metrics, progress, flight, pprof)\n", srv.Addr())
 	}
+	// Fleet scheduling stats are quarantined with the other
+	// non-deterministic diagnostics: the report's pool section and nd_
+	// metrics in the registry (excluded from determinism diffs), the
+	// /progress non_deterministic section and the flight ring. The observer
+	// slot is a process-wide (last-wins) global, so an Embedded run — one
+	// of several concurrent jobs in a host process — must not install it.
 	if !c.Embedded {
-		parallel.SetObserver(poolObserver)
+		reg := tel.Registry()
+		parallel.SetFleetObserver(func(st parallel.StreamStats) {
+			total := 0
+			for _, n := range st.TasksPerWorker {
+				total += n
+			}
+			tel.ObservePool(st.Workers, st.TasksPerWorker)
+			progress.PoolRun(st.Workers, total)
+			reg.Counter("nd_fleet_streams_total").Add(1)
+			reg.Gauge("nd_fleet_queue_depth").Set(float64(st.MaxRunAhead))
+			reg.Gauge("nd_fleet_utilization").Set(st.Utilization())
+			reg.Gauge("nd_fleet_overlap_ratio").Set(st.OverlapRatio())
+			progress.FleetStream(st.Workers, st.Tasks, st.MaxRunAhead, st.Utilization(), st.OverlapRatio())
+			if recorder != nil {
+				recorder.PoolRun(st.Workers, total)
+				recorder.FleetStream(st.Workers, st.Tasks, st.MaxRunAhead, st.Utilization(), st.OverlapRatio())
+			}
+		})
 	}
 	if c.CrashDir != "" && c.StallTimeout > 0 {
 		c.wd = c.startWatchdog(c.StallTimeout)
@@ -473,7 +466,7 @@ func (c *Common) stopFlight() {
 // FinishTelemetry closes out the run: closes the trace (so the run-end
 // line is flushed and the fingerprint covers the whole file), writes the
 // -metrics snapshot, prints the -report run report to w, finalizes the
-// -run-dir ledger record, uninstalls the pool observer and shuts the
+// -run-dir ledger record, uninstalls the fleet observer and shuts the
 // -listen server down. Sink I/O failures (a full disk, a closed pipe)
 // surface as errors so the binaries exit nonzero instead of silently
 // shipping a truncated trace or report. total is the whole run's tester
@@ -485,7 +478,6 @@ func (c *Common) FinishTelemetry(w io.Writer, tel *telemetry.Telemetry, total at
 	// Watchdog first: a completed run must never race a stall bundle.
 	c.stopFlight()
 	if !c.Embedded {
-		parallel.SetObserver(nil)
 		parallel.SetFleetObserver(nil)
 	}
 	closeErr := tel.Close()
@@ -546,7 +538,6 @@ func (c *Common) FinishTelemetry(w io.Writer, tel *telemetry.Telemetry, total at
 func (c *Common) Abort() {
 	c.stopFlight()
 	if !c.Embedded {
-		parallel.SetObserver(nil)
 		parallel.SetFleetObserver(nil)
 	}
 	if c.tel != nil {

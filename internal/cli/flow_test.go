@@ -7,8 +7,15 @@ package cli
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 func TestFlowNamesAndArgs(t *testing.T) {
@@ -146,3 +153,62 @@ func TestFlowCancellation(t *testing.T) {
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
+
+// TestCharacterizeWritesArtifacts drives the characterize flow's
+// post-optimization outputs: -weights and -db write their files, the
+// database round-trips through core.LoadDatabaseFile, and -minimize and the
+// fuzzy diagnosis both report.
+func TestCharacterizeWritesArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	weights, db := filepath.Join(dir, "w.json"), filepath.Join(dir, "db.json")
+	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
+	c := Register(fs)
+	f := RegisterCharacterizeFlags(fs)
+	if err := fs.Parse([]string{"-seed", "101", "-learn-tests", "20",
+		"-minimize", "-weights", weights, "-db", db}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := RunCharacterize(c, f, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{weights, db} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("artifact %s not written: %v", p, err)
+		}
+	}
+	loaded, err := core.LoadDatabaseFile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Len() == 0 {
+		t.Error("persisted database empty")
+	}
+	for _, want := range []string{"diagnosis:", "minimized:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestFleetObserverFeedsPoolReport pins the CLI's one fleet observer: on a
+// non-Embedded run every fleet stage lands both in the report's
+// non-deterministic pool section and in nd_fleet_streams_total.
+func TestFleetObserverFeedsPoolReport(t *testing.T) {
+	fr, err := NewFlowRun(FlowSpec{Flow: "optimize", Seed: 3, Args: map[string]string{"learn-tests": "10"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Common.Parallel = 2
+	fr.Common.MetricsPath = filepath.Join(t.TempDir(), "m.json")
+	var tel *telemetry.Telemetry
+	fr.Common.OnTelemetryStart = func(tt *telemetry.Telemetry) { tel = tt }
+	if err := fr.Run(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	rep := tel.Report(telemetry.Cost{})
+	runs, streams := rep.NonDeterministic.Pool.Runs, rep.Metrics.Counters["nd_fleet_streams_total"]
+	if runs <= 0 || runs != streams {
+		t.Errorf("pool runs %d, nd_fleet_streams_total %d: want equal and > 0", runs, streams)
+	}
+}

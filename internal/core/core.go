@@ -74,10 +74,10 @@ type Config struct {
 	FixedConditions *testgen.Conditions
 
 	// Parallelism is the worker count for every parallel stage of the flow
-	// (GA fitness batches, ensemble training, shmoo rows, lot screening,
-	// Table-1 replicas). Values below 1 select one worker per CPU
-	// (runtime.GOMAXPROCS); 1 runs serially. Results are bit-identical for
-	// any value — see internal/parallel.
+	// (GA fitness batches, ensemble training, shmoo rows, lot screening).
+	// Values below 1 select one worker per CPU (runtime.GOMAXPROCS); 1 runs
+	// serially. Results are bit-identical for any value — see
+	// internal/parallel.
 	Parallelism int
 
 	// DisableMeasurementCache turns off the GA's measurement memo-cache so

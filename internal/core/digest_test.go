@@ -45,11 +45,6 @@ func table1Digest(trace []byte, tab *Table1) string {
 	return digest(trace, tab.Parameter, tab.VddV, tab.Rows, tab.Stats, tab.CacheHits, tab.CacheMisses)
 }
 
-// replicationDigest pins a replicated Table 1 report.
-func replicationDigest(rep *ReplicationReport) string {
-	return digest(rep.Replicas, rep.Rows, rep.OrderingHeld, rep.NNGAInWeakness, rep.Format())
-}
-
 // lotDigest pins a whole lot report.
 func lotDigest(rep *LotReport) string {
 	return digest(*rep)

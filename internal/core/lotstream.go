@@ -91,8 +91,8 @@ type lotWorker struct {
 	tester *ate.ATE
 }
 
-// screen measures one die, bit-identical to the frozen screenDie but on
-// reused hardware state.
+// screen measures one die on reused hardware state, bit-identical to the
+// frozen fresh-insertion reference the tests compare it against.
 func (wk *lotWorker) screen(param ate.Parameter, tests []testgen.Test, die *dut.Die, seed int64) (DieResult, ate.Stats, error) {
 	if err := wk.dev.Retarget(die); err != nil {
 		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: %w", die.ID, err)

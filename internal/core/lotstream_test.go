@@ -12,6 +12,9 @@ import (
 	"repro/internal/cachestore"
 	"repro/internal/dut"
 	"repro/internal/proptest"
+	"repro/internal/search"
+	"repro/internal/testgen"
+	"repro/internal/trippoint"
 	"repro/internal/wcr"
 )
 
@@ -73,6 +76,56 @@ func TestScreenLotStreamMatchesLegacyPerDieLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// screenDie measures every test on one die with a fresh tester insertion
+// and returns the die result plus the measurement cost. It is the frozen
+// per-die reference the streamed pipeline is tested against.
+func screenDie(param ate.Parameter, tests []testgen.Test, die *dut.Die, geom dut.Geometry, seed int64) (DieResult, ate.Stats, error) {
+	spec, isMin := param.SpecValue()
+	worseThan := func(a, b float64) bool {
+		if isMin {
+			return a < b
+		}
+		return a > b
+	}
+	dev, err := dut.NewDevice(geom, die)
+	if err != nil {
+		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: %w", die.ID, err)
+	}
+	tester := ate.New(dev, seed)
+	runner := trippoint.NewRunner(tester, param)
+	runner.Searcher = &search.SUTP{Refine: true}
+
+	dr := DieResult{DieID: die.ID, Corner: die.Corner}
+	worst := math.Inf(1)
+	if !isMin {
+		worst = math.Inf(-1)
+	}
+	for _, t := range tests {
+		m, err := runner.Measure(t)
+		if err != nil {
+			return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d test %s: %w", die.ID, t.Name, err)
+		}
+		if m.Converged && worseThan(m.TripPoint, worst) {
+			worst = m.TripPoint
+			dr.WorstTest = t.Name
+		}
+		ok, err := tester.FunctionalPass(t)
+		if err != nil {
+			return DieResult{}, ate.Stats{}, err
+		}
+		if !ok {
+			dr.FunctionalFails++
+		}
+	}
+	if math.IsInf(worst, 0) {
+		return DieResult{}, ate.Stats{}, fmt.Errorf("core: die %d: no test converged", die.ID)
+	}
+	dr.WorstTrip = worst
+	dr.WCR = wcr.For(worst, spec, isMin)
+	dr.Class = wcr.Classify(dr.WCR)
+	return dr, tester.Stats(), nil
 }
 
 // Full-report bit-identity across worker counts, batch sizes and cache

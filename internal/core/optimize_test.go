@@ -122,3 +122,32 @@ func TestValueFromWCRInversion(t *testing.T) {
 		t.Errorf("zero WCR inversion: %g", got)
 	}
 }
+
+// At the default (full) scale the fig. 4 → fig. 5 flow must find at least
+// a weakness-class worst case on the typical die.
+func TestOptimizeWorstAtLeastWeakness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale flow")
+	}
+	cfg := DefaultConfig(103)
+	cfg.FixedConditions = quickConfig(103).FixedConditions
+	char, err := NewCharacterizer(cfg, newTester(t, 103))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer char.Close()
+	if _, err := char.Learn(); err != nil {
+		t.Fatal(err)
+	}
+	opt, err := char.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst, ok := opt.Database.Worst()
+	if !ok {
+		t.Fatal("empty worst-case database")
+	}
+	if worst.Class == wcr.Pass {
+		t.Errorf("worst case classified pass (WCR %.3f)", worst.WCR)
+	}
+}

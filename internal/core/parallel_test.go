@@ -136,32 +136,6 @@ func TestTable1DeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-func TestReplicatedDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) *ReplicationReport {
-		cfg := smallTable1Config(41)
-		cfg.Flow.Parallelism = workers
-		rep, err := RunTable1Replicated(cfg, 41, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	serial := run(1)
-	par := run(4)
-	if serial.OrderingHeld != par.OrderingHeld || serial.NNGAInWeakness != par.NNGAInWeakness {
-		t.Errorf("qualitative counts differ: serial %d/%d, parallel %d/%d",
-			serial.OrderingHeld, serial.NNGAInWeakness, par.OrderingHeld, par.NNGAInWeakness)
-	}
-	if len(serial.Rows) != len(par.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(serial.Rows), len(par.Rows))
-	}
-	for i := range serial.Rows {
-		if serial.Rows[i] != par.Rows[i] {
-			t.Errorf("row %d stats differ:\nserial   %+v\nparallel %+v", i, serial.Rows[i], par.Rows[i])
-		}
-	}
-}
-
 func TestMeasurementCacheMemoizes(t *testing.T) {
 	cfg := quickConfig(11)
 	cfg.Parallelism = 3

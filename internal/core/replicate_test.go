@@ -1,9 +1,23 @@
 package core
 
 import (
-	"strings"
+	"math"
 	"testing"
+
+	"repro/internal/ate"
+	"repro/internal/dut"
 )
+
+// replicaTester is replica i's independent hardware: its own typical-corner
+// die and a tester seeded with the replica's flow seed.
+func replicaTester(t *testing.T, i int, seed int64) *ate.ATE {
+	t.Helper()
+	dev, err := dut.NewDevice(dut.DefaultGeometry(), dut.NewDie(i, dut.CornerTypical))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ate.New(dev, seed)
+}
 
 // TestTable1OrderingHoldsAcrossSeeds is the statistical form of the
 // headline claim: over several independent replicas (different seeds AND
@@ -14,56 +28,61 @@ func TestTable1OrderingHoldsAcrossSeeds(t *testing.T) {
 		t.Skip("replicated full flows")
 	}
 	const n = 5
-	rep, err := RunTable1Replicated(DefaultTable1Config(1000), 1000, n)
-	if err != nil {
-		t.Fatal(err)
+	var ordering, weakness int
+	var wcrs [3][]float64 // March, Random, NNGA across replicas
+	for i := 0; i < n; i++ {
+		cfg := DefaultTable1Config(1000)
+		cfg.Flow.Seed = 1000 + int64(i)*7919
+		tab, err := RunTable1(cfg, replicaTester(t, i, cfg.Flow.Seed))
+		if err != nil {
+			t.Fatalf("replica %d: %v", i, err)
+		}
+		if len(tab.Rows) != 3 {
+			t.Fatalf("replica %d: %d rows", i, len(tab.Rows))
+		}
+		march, random, nnga := tab.Rows[0].WCR, tab.Rows[1].WCR, tab.Rows[2].WCR
+		if march < random && random < nnga {
+			ordering++
+		}
+		if nnga > 0.8 && nnga <= 1.0 {
+			weakness++
+		}
+		for r := range wcrs {
+			wcrs[r] = append(wcrs[r], tab.Rows[r].WCR)
+		}
 	}
-	if rep.OrderingHeld != n {
-		t.Errorf("ordering held in only %d/%d replicas", rep.OrderingHeld, n)
+	if ordering != n {
+		t.Errorf("ordering held in only %d/%d replicas", ordering, n)
 	}
-	if rep.NNGAInWeakness < n-1 {
-		t.Errorf("NNGA in weakness band in only %d/%d replicas", rep.NNGAInWeakness, n)
+	if weakness < n-1 {
+		t.Errorf("NNGA in weakness band in only %d/%d replicas", weakness, n)
 	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("%d row stats", len(rep.Rows))
-	}
-	march, random, nnga := rep.Rows[0], rep.Rows[1], rep.Rows[2]
+	march, random, nnga := mean(wcrs[0]), mean(wcrs[1]), mean(wcrs[2])
 	// Mean WCRs sit in the paper's neighbourhoods.
-	if march.MeanWCR < 0.55 || march.MeanWCR > 0.70 {
-		t.Errorf("March mean WCR %.3f outside the paper's neighbourhood of 0.619", march.MeanWCR)
+	if march < 0.55 || march > 0.70 {
+		t.Errorf("March mean WCR %.3f outside the paper's neighbourhood of 0.619", march)
 	}
-	if random.MeanWCR < 0.62 || random.MeanWCR > 0.80 {
-		t.Errorf("Random mean WCR %.3f outside the paper's neighbourhood of 0.701", random.MeanWCR)
+	if random < 0.62 || random > 0.80 {
+		t.Errorf("Random mean WCR %.3f outside the paper's neighbourhood of 0.701", random)
 	}
-	if nnga.MeanWCR < 0.85 || nnga.MeanWCR > 1.02 {
-		t.Errorf("NNGA mean WCR %.3f outside the paper's neighbourhood of 0.904", nnga.MeanWCR)
+	if nnga < 0.85 || nnga > 1.02 {
+		t.Errorf("NNGA mean WCR %.3f outside the paper's neighbourhood of 0.904", nnga)
 	}
 	// Replica-to-replica scatter is modest: the result is a property of
 	// the method, not of a lucky seed.
-	if nnga.StdWCR > 0.08 {
-		t.Errorf("NNGA WCR σ %.3f too large across replicas", nnga.StdWCR)
+	var ss float64
+	for _, w := range wcrs[2] {
+		ss += (w - nnga) * (w - nnga)
+	}
+	if sd := math.Sqrt(ss / n); sd > 0.08 {
+		t.Errorf("NNGA WCR σ %.3f too large across replicas", sd)
 	}
 }
 
-func TestRunTable1ReplicatedValidation(t *testing.T) {
-	if _, err := RunTable1Replicated(DefaultTable1Config(1), 1, 0); err == nil {
-		t.Error("zero replicas accepted")
+func mean(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
 	}
-}
-
-func TestReplicationReportFormat(t *testing.T) {
-	rep := &ReplicationReport{
-		Replicas:       3,
-		OrderingHeld:   3,
-		NNGAInWeakness: 2,
-		Rows: []RowStats{
-			{TestName: "March Test", MeanWCR: 0.62, MinWCR: 0.61, MaxWCR: 0.63, MeanValue: 32.1},
-		},
-	}
-	s := rep.Format()
-	for _, want := range []string{"replicated 3×", "March Test", "3/3", "2/3"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q:\n%s", want, s)
-		}
-	}
+	return s / float64(len(xs))
 }

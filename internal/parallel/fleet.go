@@ -91,6 +91,8 @@ func (f *Fleet) start() {
 type StreamStats struct {
 	Workers int // workers that participated in the stage
 	Tasks   int
+	// TasksPerWorker[w] is how many tasks worker w ran.
+	TasksPerWorker []int
 	// MaxRunAhead is the high-water mark of claimed-but-undelivered tasks —
 	// the observed pipeline queue depth.
 	MaxRunAhead int
@@ -131,8 +133,10 @@ type FleetObserver func(StreamStats)
 var fleetObserver atomic.Pointer[FleetObserver]
 
 // SetFleetObserver installs the process-wide fleet observer (nil
-// uninstalls). Like SetObserver, it is meant for top-level run
-// instrumentation; there is one slot.
+// uninstalls). It is meant for top-level run instrumentation (CLI
+// telemetry), not libraries: there is one slot, and tests that run fleets
+// concurrently should leave it unset. The observer is invoked after the
+// stage's workers have finished, on the calling goroutine.
 func SetFleetObserver(fn FleetObserver) {
 	if fn == nil {
 		fleetObserver.Store(nil)
@@ -305,7 +309,6 @@ func Stream[W any](f *Fleet, n, window int, produce func(i int) error, newWorker
 	f.streamMu.Lock()
 	defer f.streamMu.Unlock()
 
-	obs := observer.Load()
 	fobs := fleetObserver.Load()
 	var wallStart time.Time
 	if fobs != nil {
@@ -348,13 +351,10 @@ func Stream[W any](f *Fleet, n, window int, produce func(i int) error, newWorker
 				}
 			}
 		}
-		if obs != nil {
-			(*obs)(1, []int{n})
-		}
 		if fobs != nil {
 			wall := int64(time.Since(wallStart))
-			(*fobs)(StreamStats{Workers: 1, Tasks: n, MaxRunAhead: 1,
-				BusyNanos: wall, WallNanos: wall})
+			(*fobs)(StreamStats{Workers: 1, Tasks: n, TasksPerWorker: []int{n},
+				MaxRunAhead: 1, BusyNanos: wall, WallNanos: wall})
 		}
 		return nil
 	}
@@ -376,7 +376,10 @@ func Stream[W any](f *Fleet, n, window int, produce func(i int) error, newWorker
 	res := make([]W, np)
 	resInit := make([]bool, np)
 	workerErrs := make([]error, np)
-	taskCounts := make([]int, np)
+	var taskCounts []int
+	if fobs != nil {
+		taskCounts = make([]int, np)
+	}
 
 	st := &stage{n: n, window: window, workers: np, timed: fobs != nil, done: make([]uint8, n)}
 	st.cond.L = &st.mu
@@ -396,7 +399,9 @@ func Stream[W any](f *Fleet, n, window int, produce func(i int) error, newWorker
 		return nil
 	}
 	st.run = func(w, i int) {
-		taskCounts[w]++
+		if taskCounts != nil {
+			taskCounts[w]++
+		}
 		taskErrs[i] = runStreamTask(res[w], i, task, panics, stacks)
 	}
 
@@ -457,18 +462,16 @@ func Stream[W any](f *Fleet, n, window int, produce func(i int) error, newWorker
 			panic(TaskPanic{Task: i, Value: r, Stack: stacks[i]})
 		}
 	}
-	if obs != nil {
-		(*obs)(np, taskCounts)
-	}
 	if fobs != nil {
 		(*fobs)(StreamStats{
-			Workers:      np,
-			Tasks:        n,
-			MaxRunAhead:  st.maxAhead,
-			BusyNanos:    st.busy.Load(),
-			WallNanos:    int64(time.Since(wallStart)),
-			DeliverNanos: deliverNanos,
-			OverlapNanos: overlapNanos,
+			Workers:        np,
+			Tasks:          n,
+			TasksPerWorker: taskCounts,
+			MaxRunAhead:    st.maxAhead,
+			BusyNanos:      st.busy.Load(),
+			WallNanos:      int64(time.Since(wallStart)),
+			DeliverNanos:   deliverNanos,
+			OverlapNanos:   overlapNanos,
 		})
 	}
 	for _, err := range workerErrs {

@@ -274,15 +274,15 @@ func TestStreamZeroTasks(t *testing.T) {
 }
 
 func TestStreamObserverReportsParticipants(t *testing.T) {
-	// Like Run, the pool observer sees min(size, n) workers and per-worker
+	// Like Run, the fleet observer sees min(size, n) workers and per-worker
 	// task counts summing to n.
-	defer SetObserver(nil)
+	defer SetFleetObserver(nil)
 	var gotWorkers int
 	var gotTotal int
-	SetObserver(func(workers int, tasksPerWorker []int) {
-		gotWorkers = workers
+	SetFleetObserver(func(s StreamStats) {
+		gotWorkers = s.Workers
 		gotTotal = 0
-		for _, c := range tasksPerWorker {
+		for _, c := range s.TasksPerWorker {
 			gotTotal += c
 		}
 	})

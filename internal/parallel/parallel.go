@@ -1,8 +1,8 @@
 // Package parallel is the shared deterministic parallel-execution substrate
 // of the characterization system. Every hot loop that fans measurement or
 // training work across goroutines — GA fitness batches, ensemble member
-// training, shmoo sweeps, lot screens, Table-1 replication — runs on the
-// bounded worker pool defined here.
+// training, shmoo sweeps, lot screens — runs on the bounded worker pool
+// defined here.
 //
 // The determinism contract: work is identified by a task index, results are
 // written into index-addressed slots, and any per-task randomness derives
@@ -16,31 +16,7 @@ package parallel
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 )
-
-// Observer receives a post-run summary of one pool execution: the number of
-// workers started and how many tasks each processed. The split of tasks
-// across workers depends on goroutine scheduling, so observers must treat
-// the data as diagnostic (telemetry reports file it under their
-// non-deterministic section); the task *results* remain bit-identical
-// regardless. Observers are invoked after all workers have finished, on the
-// calling goroutine.
-type Observer func(workers int, tasksPerWorker []int)
-
-var observer atomic.Pointer[Observer]
-
-// SetObserver installs the process-wide pool observer (nil uninstalls).
-// Intended for top-level run instrumentation (CLI telemetry), not
-// libraries: there is one slot, and tests that run pools concurrently
-// should leave it unset.
-func SetObserver(fn Observer) {
-	if fn == nil {
-		observer.Store(nil)
-		return
-	}
-	observer.Store(&fn)
-}
 
 // Workers resolves a parallelism knob: values below 1 select one worker per
 // available CPU (runtime.GOMAXPROCS), anything else is taken literally.

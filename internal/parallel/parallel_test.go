@@ -205,11 +205,11 @@ func TestObserverReportsTaskCounts(t *testing.T) {
 		counts  []int
 	}
 	var got []obs
-	SetObserver(func(workers int, tasksPerWorker []int) {
-		counts := append([]int(nil), tasksPerWorker...)
-		got = append(got, obs{workers, counts})
+	SetFleetObserver(func(s StreamStats) {
+		counts := append([]int(nil), s.TasksPerWorker...)
+		got = append(got, obs{s.Workers, counts})
 	})
-	defer SetObserver(nil)
+	defer SetFleetObserver(nil)
 
 	if err := ForEach(7, 1, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestObserverReportsTaskCounts(t *testing.T) {
 		t.Errorf("per-worker counts sum to %d, want 7", sum)
 	}
 
-	SetObserver(nil)
+	SetFleetObserver(nil)
 	if err := ForEach(2, 2, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -450,7 +450,7 @@ func (r *Recorder) Item(kind string, done, total int) {
 }
 
 // PoolRun records one worker-pool execution summary (fed from the CLI's
-// pool observer, which runs after each pool drains).
+// fleet observer, which runs after each fleet stage drains).
 func (r *Recorder) PoolRun(workers, tasks int) {
 	r.Record("pool", "", map[string]float64{
 		"workers": float64(workers),
