@@ -423,7 +423,7 @@ race_suite() {
 	printf '%s\n' "$RACE_OUT" | grep -E '^(ok|---)'
 }
 race_suite ./internal/parallel/ 'TestStream|TestFleetMatchesRun|TestStreamProducer|TestObserverReportsTaskCounts|TestStreamObserverReportsParticipants'
-race_suite ./internal/core/ 'TestSchedulerEquivalenceOptimize|TestSchedulerEquivalenceTable1|TestReplicatedDeterministicAcrossWorkers|TestProposeSeedsDigest|TestFitnessStreamResolveMatchesRecordedBatch|TestOptimizeDeterministic|TestScreenLotStreamMatchesLegacyPerDieLoop|TestScreenLotStreamReportInvariance|TestScreenLotStreamDuplicateDies'
+race_suite ./internal/core/ 'TestSchedulerEquivalenceOptimize|TestSchedulerEquivalenceTable1|TestSchedulerEquivalenceReplicated|TestReplicatedDeterministicAcrossWorkers|TestProposeSeedsDigest|TestFitnessStreamResolveMatchesRecordedBatch|TestOptimizeDeterministic|TestScreenLotStreamMatchesLegacyPerDieLoop|TestScreenLotStreamReportInvariance|TestScreenLotStreamDuplicateDies'
 race_suite ./internal/shmoo/ 'TestAddTestsOn|TestAddFmaxTestsOn|TestWavefront'
 race_suite ./internal/neural/ 'TestEnsembleParallel|TestEnsembleOn'
 echo "fleet determinism suite race-clean"

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ate"
@@ -43,6 +44,73 @@ func optimizeDigest(trace []byte, res *OptimizationResult, cost ate.Stats) strin
 // table1Digest pins a Table 1 comparison and its trace bytes.
 func table1Digest(trace []byte, tab *Table1) string {
 	return digest(trace, tab.Parameter, tab.VddV, tab.Rows, tab.Stats, tab.CacheHits, tab.CacheMisses)
+}
+
+// replicaRowStats is one Table 1 row summarized across replicas. Its
+// fields, in this order, are what replicationDigest hashes.
+type replicaRowStats struct {
+	TestName        string
+	MeanWCR, MinWCR float64
+	MaxWCR          float64
+	StdWCR          float64
+	MeanValue       float64
+}
+
+// replicationDigest pins Table 1 replicas as one aggregate: the replica
+// count, per-row WCR statistics (mean, min, max, σ, mean value), how often
+// the paper's ordering WCR(March) < WCR(Random) < WCR(NNGA) held, how often
+// the NN+GA row landed in the weakness band (0.8, 1.0], and the rendered
+// summary text.
+func replicationDigest(tabs []*Table1) string {
+	var ordering, weakness int
+	var perRow [][]Table1Row
+	for _, tab := range tabs {
+		if perRow == nil {
+			perRow = make([][]Table1Row, len(tab.Rows))
+		}
+		for ri, row := range tab.Rows {
+			perRow[ri] = append(perRow[ri], row)
+		}
+		if len(tab.Rows) == 3 {
+			march, random, nnga := tab.Rows[0].WCR, tab.Rows[1].WCR, tab.Rows[2].WCR
+			if march < random && random < nnga {
+				ordering++
+			}
+			if nnga > 0.8 && nnga <= 1.0 {
+				weakness++
+			}
+		}
+	}
+	var stats []replicaRowStats
+	for _, rows := range perRow {
+		rs := replicaRowStats{TestName: rows[0].TestName, MinWCR: math.Inf(1), MaxWCR: math.Inf(-1)}
+		var sum, sumVal float64
+		for _, row := range rows {
+			sum += row.WCR
+			sumVal += row.Value
+			rs.MinWCR = math.Min(rs.MinWCR, row.WCR)
+			rs.MaxWCR = math.Max(rs.MaxWCR, row.WCR)
+		}
+		rs.MeanWCR = sum / float64(len(rows))
+		rs.MeanValue = sumVal / float64(len(rows))
+		var ss float64
+		for _, row := range rows {
+			d := row.WCR - rs.MeanWCR
+			ss += d * d
+		}
+		rs.StdWCR = math.Sqrt(ss / float64(len(rows)))
+		stats = append(stats, rs)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Table 1 replicated %d× (independent seeds)\n", len(tabs))
+	fmt.Fprintf(&b, "%-14s %8s %8s %8s %8s %10s\n", "row", "meanWCR", "min", "max", "σ", "mean value")
+	for _, row := range stats {
+		fmt.Fprintf(&b, "%-14s %8.3f %8.3f %8.3f %8.3f %10.2f\n",
+			row.TestName, row.MeanWCR, row.MinWCR, row.MaxWCR, row.StdWCR, row.MeanValue)
+	}
+	fmt.Fprintf(&b, "ordering March < Random < NNGA held in %d/%d replicas\n", ordering, len(tabs))
+	fmt.Fprintf(&b, "NNGA row in the weakness band in %d/%d replicas\n", weakness, len(tabs))
+	return digest(len(tabs), stats, ordering, weakness, b.String())
 }
 
 // lotDigest pins a whole lot report.

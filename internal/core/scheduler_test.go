@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ate"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -19,6 +21,8 @@ const (
 	batchOptimizeDigest = "1c89ffc85177372587319827b4b1057d500d5a7b8a2cd9e7c73ef2c39c103522"
 	// Table 1: quickConfig(59), 30 random tests, 40-word March window.
 	batchTable1Digest = "eb18038337cfe29b2b8082ddc62f944cb3e0d2e75c7f24f51dedefff8b254a45"
+	// replicated Table 1: smallTable1Config(41), 2 replicas.
+	batchReplicatedDigest = "4814ec358c349495358f2f0a77ae8f9c8ba03f513445e9ff93578de2a5225b58"
 )
 
 var equivalenceFleetSizes = []int{1, 2, 8}
@@ -75,15 +79,41 @@ func TestSchedulerEquivalenceTable1(t *testing.T) {
 	}
 }
 
-// replicaTable1Digests pin the two independent Table 1 replicas of
-// smallTable1Config(41): replica i runs on die i with flow and tester seed
-// 41+7919·i. They were recorded with both replicas running concurrently at
-// fleet sizes 1, 2 and 8, where aggregating the replicas' rows also
-// reproduced the retired replicated-Table-1 report digest
-// (4814ec358c349495358f2f0a77ae8f9c8ba03f513445e9ff93578de2a5225b58,
-// recorded from the batch pool). A digest here covers each replica's trace
-// bytes, rows, tester cost and cache counts, so it is stricter than that
-// aggregate.
+// TestSchedulerEquivalenceReplicated holds the two replicas of
+// smallTable1Config(41), dispatched onto one shared fleet at every fleet
+// size, to the aggregate the batch pool recorded. Replica i runs on die i
+// with flow and tester seed 41+7919·i.
+func TestSchedulerEquivalenceReplicated(t *testing.T) {
+	for _, workers := range equivalenceFleetSizes {
+		f := parallel.NewFleet(parallel.Bound(workers, len(replicaTable1Digests)))
+		tabs := make([]*Table1, len(replicaTable1Digests))
+		testers := make([]*ate.ATE, len(tabs))
+		for i := range testers {
+			testers[i] = replicaTester(t, i, 41+int64(i)*7919)
+		}
+		err := parallel.ForEachOn(f, len(tabs), func(i int) error {
+			cfg := smallTable1Config(41)
+			cfg.Flow.Seed = 41 + int64(i)*7919
+			cfg.Flow.Parallelism = workers
+			tab, err := RunTable1(cfg, testers[i])
+			tabs[i] = tab
+			return err
+		})
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := replicationDigest(tabs); got != batchReplicatedDigest {
+			t.Errorf("workers=%d: replicated digest %s, batch pool recorded %s", workers, got, batchReplicatedDigest)
+		}
+	}
+}
+
+// replicaTable1Digests pin the same two replicas one by one. They were
+// recorded with both replicas running concurrently at fleet sizes 1, 2 and
+// 8, where their aggregate reproduced batchReplicatedDigest. A digest here
+// covers each replica's trace bytes, rows, tester cost and cache counts, so
+// it is stricter than that aggregate.
 var replicaTable1Digests = [2]string{
 	"434791601e96e16419901eb7c35544fcfb30177c3720cd1b6c489ed1e02f31f7",
 	"13eb6604377eb61b8f1a8c5fddc0e29351592408e3b2672d54d8ddb101b9e529",
