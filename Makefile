@@ -27,7 +27,7 @@ test:
 invariants:
 	go test -count=1 ./internal/search ./internal/fuzzy ./internal/neural \
 		./internal/telemetry ./internal/obs ./internal/core ./internal/proptest \
-		./internal/runstore ./internal/jobs
+		./internal/runstore ./internal/jobs ./internal/recordio
 
 # Ten seconds of native fuzzing per target against the committed corpora.
 fuzz-smoke:
@@ -36,6 +36,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime 10s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzPromEncode$$' -fuzztime 10s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzDieRecordDecode$$' -fuzztime 10s ./internal/core/
+	go test -run '^$$' -fuzz '^FuzzRecordScan$$' -fuzztime 10s ./internal/recordio/
+	go test -run '^$$' -fuzz '^FuzzRunRecordDecode$$' -fuzztime 10s ./internal/runstore/
 
 # Every paper table/figure benchmark, one iteration each.
 bench:

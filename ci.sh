@@ -54,6 +54,7 @@ awk '
 		floor["repro/internal/parallel"] = 85
 		floor["repro/internal/pdn"] = 85
 		floor["repro/internal/proptest"] = 60
+		floor["repro/internal/recordio"] = 85
 		floor["repro/internal/runstore"] = 80
 		floor["repro/internal/search"] = 80
 		floor["repro/internal/shmoo"] = 80
@@ -99,6 +100,8 @@ go test -run '^$' -fuzz '^FuzzWeightFileParse$' -fuzztime 10s ./internal/neural/
 go test -run '^$' -fuzz '^FuzzTraceParse$' -fuzztime 10s ./internal/obs/
 go test -run '^$' -fuzz '^FuzzPromEncode$' -fuzztime 10s ./internal/obs/
 go test -run '^$' -fuzz '^FuzzDieRecordDecode$' -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz '^FuzzRecordScan$' -fuzztime 10s ./internal/recordio/
+go test -run '^$' -fuzz '^FuzzRunRecordDecode$' -fuzztime 10s ./internal/runstore/
 echo "all fuzz targets clean"
 
 echo "== telemetry smoke run =="

@@ -7,21 +7,21 @@
 //
 // On-disk format. A segment file is
 //
-//	header : magic "RPROCST1" (8 bytes) + scope (8 bytes, little-endian)
-//	records: key (8 LE) + value length (4 LE) + value bytes + CRC-32 (4 LE)
+//	header : magic "RPROCST2" (8 bytes) + scope (8 bytes, little-endian)
+//	records: one recordio frame each, payload = key (8 LE) ‖ value bytes
 //
-// where the CRC (IEEE) covers the record's key, length and value bytes.
-// Records only ever get appended; a segment is written once to a temporary
-// file and published with an atomic rename, so readers never observe a
-// half-written segment under POSIX rename semantics. Flush writes only the
-// entries added since Open (one new segment per flush, numbered after the
-// existing ones); loading replays segments in filename order, later
-// segments overriding earlier keys.
+// so a record costs 16 bytes plus its value. A segment is written once, by
+// recordio.WriteFileAtomic. Flush writes only the entries added since Open
+// (one new segment per flush, numbered after the existing ones); loading
+// replays segments in filename order, later segments overriding earlier
+// keys.
 //
 // The scope tags which logical cache a segment belongs to (parameter,
 // geometry, seed, flow — whatever the caller folds into the 64-bit value).
 // Open skips segments of other scopes, so several flows can share one
-// -cache-dir without poisoning each other's keys.
+// -cache-dir without poisoning each other's keys. Segments of the retired
+// "RPROCST1" layout are skipped the same way, so an old cache directory
+// rebuilds cold on its own.
 //
 // Corruption policy: a segment whose magic, record framing or CRC does not
 // check out fails Open with an error naming the file and the byte offset
@@ -30,25 +30,29 @@
 package cachestore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/recordio"
 )
 
-// magic identifies (and versions) the segment format.
-const magic = "RPROCST1"
+// magic identifies (and versions) the segment format; magicV1 segments,
+// the layout before recordio framing, are skipped like a foreign scope.
+const magic, magicV1 = "RPROCST2", "RPROCST1"
 
 // headerSize is the fixed segment prefix: magic + scope.
 const headerSize = 16
 
-// recordOverhead is the fixed per-record framing cost: key + length + CRC.
-const recordOverhead = 16
+// keySize is the key prefix of every record payload.
+const keySize = 8
 
 // maxValueLen bounds a single record's value so a corrupt length field
 // cannot trigger a multi-gigabyte allocation during load.
@@ -63,7 +67,7 @@ type Stats struct {
 	// (after later-segment overrides).
 	LoadedEntries int64
 	// LoadedSegments and SkippedSegments count segment files read and
-	// segment files ignored because their scope differs.
+	// segment files ignored because their scope differs (or they are v1).
 	LoadedSegments  int64
 	SkippedSegments int64
 	// Hits and Misses count Get outcomes.
@@ -158,51 +162,37 @@ func segmentSeq(name string) (int, bool) {
 }
 
 // loadSegment reads one segment file into the map. Segments of a different
-// scope report loaded == false and are otherwise ignored. Any framing or
-// checksum violation returns an error naming the file and the byte offset
-// of the offending record.
+// scope or of the v1 layout report loaded == false and are otherwise
+// ignored. A bad record is an error naming the file and its byte offset.
 func (s *Store) loadSegment(path string) (loaded bool, size int64, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return false, 0, fmt.Errorf("cachestore: reading segment: %w", err)
 	}
-	if len(raw) < headerSize || string(raw[:8]) != magic {
+	switch {
+	case bytes.HasPrefix(raw, []byte(magicV1)):
+		return false, 0, nil
+	case len(raw) < headerSize || string(raw[:8]) != magic:
 		return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset 0: bad magic", path)
-	}
-	if binary.LittleEndian.Uint64(raw[8:16]) != s.scope {
+	case binary.LittleEndian.Uint64(raw[8:16]) != s.scope:
 		return false, 0, nil
 	}
-	off := headerSize
-	for off < len(raw) {
-		if len(raw)-off < recordOverhead {
-			return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: truncated record header", path, off)
-		}
-		key := binary.LittleEndian.Uint64(raw[off : off+8])
-		vlen := int(binary.LittleEndian.Uint32(raw[off+8 : off+12]))
-		if vlen > maxValueLen {
-			return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: value length %d exceeds limit", path, off, vlen)
-		}
-		if len(raw)-off-recordOverhead < vlen {
-			return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: truncated value", path, off)
-		}
-		val := raw[off+12 : off+12+vlen]
-		want := binary.LittleEndian.Uint32(raw[off+12+vlen : off+16+vlen])
-		if got := crc32.ChecksumIEEE(raw[off : off+12+vlen]); got != want {
-			return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: CRC mismatch (%08x != %08x)", path, off, got, want)
+	err = recordio.Scan(raw[headerSize:], keySize+maxValueLen, func(rec []byte) error {
+		if len(rec) < keySize {
+			return errors.New("record shorter than its key")
 		}
 		// Copy out of the read buffer so the whole file can be collected.
-		s.m[key] = append([]byte(nil), val...)
+		key := binary.LittleEndian.Uint64(rec)
+		s.m[key] = append([]byte(nil), rec[keySize:]...)
 		s.isDir[key] = true
-		off += recordOverhead + vlen
+		return nil
+	})
+	var re *recordio.Error
+	if errors.As(err, &re) {
+		return false, 0, fmt.Errorf("cachestore: %s: corrupt segment at offset %d: %v", path, headerSize+re.Offset, re.Err)
 	}
 	return true, int64(len(raw)), nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Scope returns the store's cache scope.
-func (s *Store) Scope() uint64 { return s.scope }
 
 // Len returns the number of entries (loaded plus added).
 func (s *Store) Len() int {
@@ -245,18 +235,15 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 func (s *Store) Put(key uint64, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.m[key]; ok && string(old) == string(value) {
+	old, ok := s.m[key]
+	if ok && string(old) == string(value) {
 		return
 	}
-	_, wasDirty := s.m[key]
 	s.m[key] = append([]byte(nil), value...)
-	if s.isDir[key] || !wasDirty {
-		// Either overriding a persisted entry or inserting a new key: both
-		// need a record in the next segment. An overwrite of an entry that
-		// is already pending keeps its original queue position.
-		if s.isDir[key] {
-			delete(s.isDir, key)
-		}
+	// A new key or an override of a persisted entry needs a record in the
+	// next segment; an entry already pending keeps its queue position.
+	if !ok || s.isDir[key] {
+		delete(s.isDir, key)
 		s.dirty = append(s.dirty, key)
 	}
 }
@@ -275,48 +262,24 @@ func (s *Store) Range(fn func(key uint64, value []byte) bool) {
 
 // Flush writes the entries added or changed since the last Flush (in their
 // insertion order, so the segment bytes are deterministic for a
-// deterministic caller) into one new segment, published with an atomic
-// rename. With nothing dirty it writes nothing. Returns the number of
-// records written.
+// deterministic caller) into one new segment. With nothing dirty it writes
+// nothing. Returns the number of records written.
 func (s *Store) Flush() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.dirty) == 0 {
 		return 0, nil
 	}
-	buf := make([]byte, 0, headerSize+len(s.dirty)*(recordOverhead+16))
+	buf := make([]byte, 0, headerSize+len(s.dirty)*(recordio.Overhead+keySize+16))
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint64(buf, s.scope)
-	for _, key := range s.dirty {
-		val := s.m[key]
-		start := len(buf)
-		buf = binary.LittleEndian.AppendUint64(buf, key)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
-		buf = append(buf, val...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	var key [keySize]byte
+	for _, k := range s.dirty {
+		binary.LittleEndian.PutUint64(key[:], k)
+		buf = recordio.Append(buf, key[:], s.m[k])
 	}
-
 	final := filepath.Join(s.dir, fmt.Sprintf("seg-%08d-%016x%s", s.seq, s.scope, segSuffix))
-	tmp, err := os.CreateTemp(s.dir, ".tmp-seg-*")
-	if err != nil {
-		return 0, fmt.Errorf("cachestore: creating segment: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("cachestore: writing segment: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("cachestore: syncing segment: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("cachestore: closing segment: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
+	if err := recordio.WriteFileAtomic(final, buf); err != nil {
 		return 0, fmt.Errorf("cachestore: publishing segment: %w", err)
 	}
 

@@ -2,6 +2,8 @@ package cachestore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -321,5 +323,72 @@ func TestRangeFloat64(t *testing.T) {
 	}
 	if v, ok := s.GetFloat64(3); ok {
 		t.Errorf("GetFloat64 on non-scalar entry = %v, true", v)
+	}
+}
+
+// pinnedSegment flushes a fixed four-record segment and returns its bytes.
+func pinnedSegment(t *testing.T) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, 0x5EED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(1, []byte("alpha"))
+	s.PutFloat64(2, 3.25)
+	s.Put(3, nil)
+	s.Put(0xFFFFFFFFFFFFFFFF, []byte("omega-value"))
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := segmentNames(dir)
+	raw, err := os.ReadFile(filepath.Join(dir, segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(raw)) != s.BytesOnDisk() {
+		t.Fatalf("BytesOnDisk %d, segment file %d bytes", s.BytesOnDisk(), len(raw))
+	}
+	return raw
+}
+
+// TestSegmentBytesPinned: a fixed segment's bytes are pinned by SHA-256,
+// and its length equals the v1 layout's — the v2 layout moved only the
+// magic and the frame field order, so BytesOnDisk, traces and run IDs
+// that count segment bytes do not move.
+func TestSegmentBytesPinned(t *testing.T) {
+	raw := pinnedSegment(t)
+	const v1Len, wantSHA = 104, "87234f00a7d054424801288a41a9264e7455c573cf1a2b7156c209dfea61f91c"
+	if sum := sha256.Sum256(raw); len(raw) != v1Len || hex.EncodeToString(sum[:]) != wantSHA {
+		t.Fatalf("segment encoding moved: %d bytes, sha256 %x; want %d bytes, %s", len(raw), sum, v1Len, wantSHA)
+	}
+}
+
+// TestV1SegmentSkipped: a segment in the retired RPROCST1 layout is
+// skipped like a foreign scope, so an old cache directory rebuilds cold
+// instead of failing Open; the rebuilt segment is numbered after it.
+func TestV1SegmentSkipped(t *testing.T) {
+	dir := t.TempDir()
+	v1 := append([]byte(magicV1), 0xED, 0x5E, 0, 0, 0, 0, 0, 0, 1, 2, 3)
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000000-0000000000005eed.seg"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, 0x5EED)
+	if err != nil {
+		t.Fatalf("Open over a v1 segment: %v", err)
+	}
+	if st := s.Stats(); st.SkippedSegments != 1 || st.LoadedSegments != 0 || s.Len() != 0 || st.BytesOnDisk != 0 {
+		t.Fatalf("v1 segment not skipped: stats %+v, len %d", st, s.Len())
+	}
+	s.Put(7, []byte("rebuilt"))
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, 0x5EED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.Get(7); string(got) != "rebuilt" || r.Stats().SkippedSegments != 1 || r.Stats().LoadedSegments != 1 {
+		t.Fatalf("rebuilt cache: got %q, stats %+v", got, r.Stats())
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/cachestore"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/recordio"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flight"
@@ -169,26 +170,14 @@ func (c *Common) Validate() error {
 		ln.Close()
 	}
 	if c.CrashDir != "" {
-		if err := os.MkdirAll(c.CrashDir, 0o755); err != nil {
+		if err := recordio.ProbeDir(c.CrashDir); err != nil {
 			return fmt.Errorf("cannot write crash bundles to -crash-dir %q: %w", c.CrashDir, err)
 		}
-		probe, err := os.CreateTemp(c.CrashDir, ".probe-*")
-		if err != nil {
-			return fmt.Errorf("cannot write crash bundles to -crash-dir %q: %w", c.CrashDir, err)
-		}
-		probe.Close()
-		os.Remove(probe.Name())
 	}
 	if c.RunDir != "" {
-		if err := os.MkdirAll(c.RunDir, 0o755); err != nil {
+		if err := recordio.ProbeDir(c.RunDir); err != nil {
 			return fmt.Errorf("cannot record runs to -run-dir %q: %w", c.RunDir, err)
 		}
-		probe, err := os.CreateTemp(c.RunDir, ".probe-*")
-		if err != nil {
-			return fmt.Errorf("cannot record runs to -run-dir %q: %w", c.RunDir, err)
-		}
-		probe.Close()
-		os.Remove(probe.Name())
 	}
 	if c.StallTimeout > 0 && c.CrashDir == "" {
 		return fmt.Errorf("-stall-timeout requires -crash-dir (stall bundles need somewhere to go)")

@@ -8,14 +8,20 @@ package jobs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
+
+	"repro/internal/recordio"
 )
 
 // randomEntries builds a coherent random journal history: jobs are
@@ -86,15 +92,11 @@ func randomEntries(rng *rand.Rand, n int) []journalEntry {
 // encodeAll frames a whole entry stream.
 func encodeAll(t *testing.T, entries []journalEntry) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	var data []byte
 	for _, e := range entries {
-		frame, err := encodeEntry(e)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		buf.Write(frame)
+		data = append(data, mustEncode(t, e)...)
 	}
-	return buf.Bytes()
+	return data
 }
 
 // entriesEqual compares via JSON (the codec's own equivalence).
@@ -109,12 +111,9 @@ func TestJournalRoundTripProperty(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		entries := randomEntries(rng, 1+rng.Intn(40))
 		data := encodeAll(t, entries)
-		got, goodLen, err := loadJournal(data)
+		got, err := readJournal(data)
 		if err != nil {
 			t.Fatalf("trial %d: load: %v", trial, err)
-		}
-		if goodLen != len(data) {
-			t.Fatalf("trial %d: goodLen %d, want %d", trial, goodLen, len(data))
 		}
 		if !entriesEqual(got, entries) {
 			t.Fatalf("trial %d: round trip mismatch (%d vs %d entries)", trial, len(got), len(entries))
@@ -134,7 +133,7 @@ func TestJournalTruncationProperty(t *testing.T) {
 	wantAt := func(cut int) int {
 		off, n := 0, 0
 		for _, e := range entries {
-			frame, _ := encodeEntry(e)
+			frame := mustEncode(t, e)
 			if off+len(frame) > cut {
 				break
 			}
@@ -144,15 +143,12 @@ func TestJournalTruncationProperty(t *testing.T) {
 		return n
 	}
 	for cut := 0; cut <= len(data); cut++ {
-		got, goodLen, err := loadJournal(data[:cut])
+		got, err := readJournal(data[:cut])
 		if err != nil {
 			t.Fatalf("cut %d: unexpected error: %v", cut, err)
 		}
 		if want := wantAt(cut); len(got) != want {
 			t.Fatalf("cut %d: %d entries, want %d", cut, len(got), want)
-		}
-		if goodLen > cut {
-			t.Fatalf("cut %d: goodLen %d past the cut", cut, goodLen)
 		}
 		if _, _, rerr := replay(got); rerr != nil {
 			t.Fatalf("cut %d: prefix does not replay: %v", cut, rerr)
@@ -171,14 +167,14 @@ func TestJournalCorruptionRejected(t *testing.T) {
 	// corruption is reported as its own oversized-frame error).
 	corrupt := append([]byte(nil), data...)
 	corrupt[5] ^= 0xff
-	if _, _, err := loadJournal(corrupt); err == nil {
+	if _, err := readJournal(corrupt); err == nil {
 		t.Fatal("mid-file payload corruption loaded without error")
 	}
 
 	// An oversized length prefix is corruption wherever it appears.
 	corrupt = append([]byte(nil), data...)
 	corrupt[0] = 0xff
-	if _, _, err := loadJournal(corrupt); err == nil || !strings.Contains(err.Error(), "corrupt journal") {
+	if _, err := readJournal(corrupt); err == nil || !strings.Contains(err.Error(), "corrupt journal") {
 		t.Fatalf("oversized frame: err %v, want corrupt-journal error", err)
 	}
 
@@ -187,23 +183,23 @@ func TestJournalCorruptionRejected(t *testing.T) {
 	lastStart := len(data) - len(mustEncode(t, entries[len(entries)-1]))
 	corrupt = append([]byte(nil), data...)
 	corrupt[lastStart+5] ^= 0xff
-	got, goodLen, err := loadJournal(corrupt)
+	got, err := readJournal(corrupt)
 	if err != nil {
 		t.Fatalf("final-frame corruption: %v", err)
 	}
-	if len(got) != len(entries)-1 || goodLen != lastStart {
-		t.Fatalf("final-frame corruption: %d entries to offset %d, want %d to %d",
-			len(got), goodLen, len(entries)-1, lastStart)
+	if !entriesEqual(got, entries[:len(entries)-1]) {
+		t.Fatalf("final-frame corruption: %d entries, want the %d before the final frame",
+			len(got), len(entries)-1)
 	}
 }
 
 func mustEncode(t *testing.T, e journalEntry) []byte {
 	t.Helper()
-	frame, err := encodeEntry(e)
+	payload, err := marshalEntry(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return frame
+	return recordio.Append(nil, payload)
 }
 
 // TestQueueRestartResumesPendingSet: kill the process (no clean close, a
@@ -279,6 +275,13 @@ func TestQueueRestartResumesPendingSet(t *testing.T) {
 	if err != nil || fin.RunID != "runid" || fin.Fingerprint != "fp" || fin.Output != "out" {
 		t.Fatalf("finished job lost its result across restart: %+v, %v", fin, err)
 	}
+	// Replay and the live transition share one code path, so a job
+	// canceled while queued keeps the error the server reported for it.
+	for _, id := range []string{canceled.ID, runningCanceled.ID} {
+		if j, err := q2.Get(id); err != nil || j.Error != ErrCanceled.Error() {
+			t.Fatalf("canceled job %s has error %q after restart (%v), want %q", id, j.Error, err, ErrCanceled.Error())
+		}
+	}
 
 	// The resumed head is the highest-priority queued job.
 	if head := q2.NextRunnable(); head == nil || head.ID != running.ID {
@@ -335,5 +338,110 @@ func TestQueuePriorityOrder(t *testing.T) {
 	}
 	if head := q.NextRunnable(); head != nil {
 		t.Fatalf("queue should be drained, got %+v", head)
+	}
+}
+
+// TestJournalBytesPinned: the journal bytes of a fixed entry sequence are
+// pinned by length and SHA-256, so a framing change cannot slip past a
+// reopen of an existing queue directory.
+func TestJournalBytesPinned(t *testing.T) {
+	entries := []journalEntry{
+		{Op: "submit", Job: &Job{Seq: 1, ID: jobID(1), Submission: Submission{Flow: "shmoo", Seed: 3, Priority: 1, Args: map[string]string{"tests": "40"}}, Workers: 2, State: StateQueued, SubmittedUnixNano: 1700000000000000000}},
+		{Op: "start", ID: jobID(1), At: 1700000000000000001},
+		{Op: "finish", ID: jobID(1), State: StateDone, RunID: "0123456789abcdef0123456789abcdef", Fingerprint: "fedcba9876543210", Output: "ok\n", At: 1700000000000000002},
+		{Op: "cancel", ID: jobID(1), At: 1700000000000000003},
+	}
+	data := append([]byte(journalMagic), encodeAll(t, entries)...)
+	const wantLen, wantSHA = 488, "0ff5d2a6f12073fc745be2bff40233e24d865047702c551873523698f1ea0275"
+	if sum := sha256.Sum256(data); len(data) != wantLen || hex.EncodeToString(sum[:]) != wantSHA {
+		t.Fatalf("journal encoding moved: %d bytes, sha256 %x; want %d bytes, %s", len(data), sum, wantLen, wantSHA)
+	}
+}
+
+// faultyJournal is the journal file with one injected failure: the next
+// Write gets short bytes through and fails with writeErr, or the next Sync
+// fails with syncErr.
+type faultyJournal struct {
+	*os.File
+	writeErr, syncErr error
+	short             int
+}
+
+func (f *faultyJournal) Write(p []byte) (int, error) {
+	if err := f.writeErr; err != nil {
+		f.writeErr = nil
+		n, _ := f.File.Write(p[:min(f.short, len(p))])
+		return n, err
+	}
+	return f.File.Write(p)
+}
+
+func (f *faultyJournal) Sync() error {
+	if err := f.syncErr; err != nil {
+		f.syncErr = nil
+		return err
+	}
+	return f.File.Sync()
+}
+
+// TestJournalAppendFaultRollsBack: a short write, ENOSPC or fsync failure
+// in one append neither blocks the next restart nor resurrects the job the
+// client was told failed — reopen yields exactly the acknowledged jobs.
+func TestJournalAppendFaultRollsBack(t *testing.T) {
+	for _, fault := range []*faultyJournal{
+		{writeErr: io.ErrShortWrite, short: 9},
+		{writeErr: syscall.ENOSPC, short: 3},
+		{syncErr: syscall.EIO},
+	} {
+		dir := t.TempDir()
+		q, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked := map[string]string{}
+		submit := func(flow string) error {
+			j, err := q.Submit(Submission{Flow: flow, Seed: 1})
+			if err == nil {
+				acked[j.ID] = flow
+			}
+			return err
+		}
+		if err := submit("shmoo"); err != nil {
+			t.Fatal(err)
+		}
+		// Swap the journal handle for a faulty one over the same file.
+		path := filepath.Join(dir, journalName)
+		q.log.Close()
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault.File = f
+		q.log = recordio.NewLog(fault, st.Size())
+
+		if err := submit("lot"); err == nil {
+			t.Fatalf("%v/%v: failed append acknowledged", fault.writeErr, fault.syncErr)
+		}
+		if err := submit("table1"); err != nil {
+			t.Fatalf("append after a failed one: %v", err)
+		}
+		q.Close()
+
+		q2, err := Open(dir)
+		if err != nil {
+			t.Fatalf("%v/%v: reopen after a failed append: %v", fault.writeErr, fault.syncErr, err)
+		}
+		got := map[string]string{}
+		for _, j := range q2.List() {
+			got[j.ID] = j.Flow
+		}
+		q2.Close()
+		if !reflect.DeepEqual(got, acked) {
+			t.Fatalf("%v/%v: reopened jobs %v, want exactly the acknowledged %v", fault.writeErr, fault.syncErr, got, acked)
+		}
 	}
 }

@@ -1,30 +1,30 @@
 package jobs
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/recordio"
 )
 
-// Queue is the crash-safe persistent job queue. Every state transition
-// appends one CRC-framed JSON entry to a journal (cachestore shard style:
-// length-prefixed frames with a trailing checksum, fsync'd per append), so
-// a killed server reopens the journal and resumes exactly the pending set:
-// queued jobs stay queued, jobs caught mid-run return to the queue, and a
-// cancellation that raced the crash wins. A torn final frame — the only
-// damage a crash mid-append can cause — is tolerated and truncated away;
-// corruption anywhere earlier means the file was tampered with or the disk
-// is lying, and the queue refuses to load rather than guess.
+// Queue is the crash-safe persistent job queue. Every state transition is
+// one JSON entry appended to a journal through a recordio.Log, fsync'd
+// before it is acknowledged and rolled back if that fails, so a killed
+// server reopens the journal and resumes exactly the acknowledged pending
+// set: queued jobs stay queued, jobs caught mid-run return to the queue,
+// and a cancellation that raced the crash wins. A torn final frame — all
+// a crash mid-append can leave — is dropped on load; corruption anywhere
+// earlier means the disk is lying, and the queue refuses to load.
 type Queue struct {
 	mu      sync.Mutex
-	dir     string
-	f       *os.File
+	log     *recordio.Log
 	jobs    map[string]*Job
 	nextSeq int64
 }
@@ -59,8 +59,8 @@ type journalEntry struct {
 	At int64 `json:"at,omitempty"`
 }
 
-// encodeEntry renders one frame: [u32be len][JSON][u32be crc32(len+JSON)].
-func encodeEntry(e journalEntry) ([]byte, error) {
+// marshalEntry renders one journal entry's frame payload.
+func marshalEntry(e journalEntry) ([]byte, error) {
 	payload, err := json.Marshal(e)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: encode journal entry: %w", err)
@@ -68,114 +68,75 @@ func encodeEntry(e journalEntry) ([]byte, error) {
 	if len(payload) > maxEntryLen {
 		return nil, fmt.Errorf("jobs: journal entry too large (%d bytes)", len(payload))
 	}
-	frame := make([]byte, 4+len(payload)+4)
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
-	crc := crc32.ChecksumIEEE(frame[:4+len(payload)])
-	binary.BigEndian.PutUint32(frame[4+len(payload):], crc)
-	return frame, nil
+	return payload, nil
 }
 
-// loadJournal decodes every intact frame of data (the bytes after the
-// magic). It returns the decoded entries and the byte offset of the last
-// intact frame, so callers can truncate a torn tail. Damage that cannot be
-// a torn tail — a checksum mismatch or an impossible length before the
-// final frame — is a hard error: replaying past silent corruption would
-// resurrect or lose jobs.
-func loadJournal(data []byte) (entries []journalEntry, goodLen int, err error) {
-	off := 0
-	for off < len(data) {
-		rest := len(data) - off
-		if rest < 4 {
-			// Torn tail: the length prefix itself is incomplete.
-			return entries, off, nil
-		}
-		n := int(binary.BigEndian.Uint32(data[off:]))
-		if n > maxEntryLen {
-			return entries, off, fmt.Errorf("jobs: journal frame at offset %d claims %d bytes (max %d): corrupt journal", off, n, maxEntryLen)
-		}
-		if rest < 4+n+4 {
-			// Torn tail: the payload or checksum was cut off mid-write.
-			return entries, off, nil
-		}
-		frame := data[off : off+4+n]
-		want := binary.BigEndian.Uint32(data[off+4+n:])
-		if crc32.ChecksumIEEE(frame) != want {
-			if off+4+n+4 == len(data) {
-				// A bad final frame is a torn write of the checksum itself.
-				return entries, off, nil
-			}
-			return entries, off, fmt.Errorf("jobs: journal checksum mismatch at offset %d: corrupt journal", off)
-		}
-		var e journalEntry
-		if err := json.Unmarshal(frame[4:], &e); err != nil {
-			return entries, off, fmt.Errorf("jobs: journal entry at offset %d: %w", off, err)
-		}
-		entries = append(entries, e)
-		off += 4 + n + 4
+// readJournal decodes the entries in data (the bytes after the magic),
+// dropping a torn final frame. Any other damage is a hard error: replaying
+// past silent corruption would resurrect or lose jobs.
+func readJournal(data []byte) ([]journalEntry, error) {
+	var entries []journalEntry
+	err := recordio.Scan(data, maxEntryLen, func(payload []byte) error {
+		entries = append(entries, journalEntry{})
+		return json.Unmarshal(payload, &entries[len(entries)-1])
+	})
+	var re *recordio.Error
+	if errors.As(err, &re) && !re.Torn {
+		return nil, fmt.Errorf("jobs: corrupt journal: %w", err)
 	}
-	return entries, off, nil
+	return entries, nil
 }
 
-// replay folds journal entries into the job map. Unknown IDs and
-// out-of-order transitions are hard errors — a journal the queue wrote
-// itself never contains them.
+// apply folds one journal entry into jobs. Replay on Open and every live
+// transition share it, so a reopened queue holds exactly the state the
+// running one served. Unknown IDs and out-of-order transitions are errors:
+// a journal the queue wrote itself never contains them.
+func apply(jobs map[string]*Job, e journalEntry) error {
+	if e.Op == "submit" {
+		if e.Job == nil || e.Job.ID == "" {
+			return errors.New("submit without job")
+		}
+		j := e.Job.clone()
+		if j.State == "" {
+			j.State = StateQueued
+		}
+		if !j.State.valid() {
+			return fmt.Errorf("unknown state %q", j.State)
+		}
+		jobs[j.ID] = j
+		return nil
+	}
+	j, ok := jobs[e.ID]
+	if !ok {
+		return fmt.Errorf("%s of unknown job %q", e.Op, e.ID)
+	}
+	switch {
+	case e.Op == "start":
+		j.State, j.StartedUnixNano = StateRunning, e.At
+	case e.Op == "finish" && e.State.Terminal():
+		j.State, j.RunID, j.Fingerprint, j.Error, j.Output = e.State, e.RunID, e.Fingerprint, e.Error, e.Output
+		j.FinishedUnixNano, j.CancelRequested = e.At, false
+	case e.Op == "cancel" && j.State == StateQueued:
+		j.State, j.Error, j.FinishedUnixNano = StateCanceled, ErrCanceled.Error(), e.At
+	case e.Op == "cancel" && j.State == StateRunning:
+		j.CancelRequested = true
+	case e.Op == "cancel": // already terminal: nothing left to cancel
+	default:
+		return fmt.Errorf("invalid %s entry (state %q)", e.Op, e.State)
+	}
+	return nil
+}
+
+// replay folds a whole journal into a job map and the next sequence number.
 func replay(entries []journalEntry) (map[string]*Job, int64, error) {
 	jobs := make(map[string]*Job)
 	var nextSeq int64 = 1
 	for i, e := range entries {
-		switch e.Op {
-		case "submit":
-			if e.Job == nil || e.Job.ID == "" {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: submit without job", i)
-			}
-			j := e.Job.clone()
-			if j.State == "" {
-				j.State = StateQueued
-			}
-			if !j.State.valid() {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: unknown state %q", i, j.State)
-			}
-			jobs[j.ID] = j
-			if j.Seq >= nextSeq {
-				nextSeq = j.Seq + 1
-			}
-		case "start":
-			j, ok := jobs[e.ID]
-			if !ok {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: start of unknown job %q", i, e.ID)
-			}
-			j.State = StateRunning
-			j.StartedUnixNano = e.At
-		case "finish":
-			j, ok := jobs[e.ID]
-			if !ok {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: finish of unknown job %q", i, e.ID)
-			}
-			if !e.State.Terminal() {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: finish with non-terminal state %q", i, e.State)
-			}
-			j.State = e.State
-			j.RunID = e.RunID
-			j.Fingerprint = e.Fingerprint
-			j.Error = e.Error
-			j.Output = e.Output
-			j.FinishedUnixNano = e.At
-			j.CancelRequested = false
-		case "cancel":
-			j, ok := jobs[e.ID]
-			if !ok {
-				return nil, 0, fmt.Errorf("jobs: journal entry %d: cancel of unknown job %q", i, e.ID)
-			}
-			switch {
-			case j.State == StateQueued:
-				j.State = StateCanceled
-				j.FinishedUnixNano = e.At
-			case j.State == StateRunning:
-				j.CancelRequested = true
-			}
-		default:
-			return nil, 0, fmt.Errorf("jobs: journal entry %d: unknown op %q", i, e.Op)
+		if err := apply(jobs, e); err != nil {
+			return nil, 0, fmt.Errorf("jobs: journal entry %d: %w", i, err)
+		}
+		if e.Op == "submit" && e.Job.Seq >= nextSeq {
+			nextSeq = e.Job.Seq + 1
 		}
 	}
 	return jobs, nextSeq, nil
@@ -196,76 +157,46 @@ func Open(dir string) (*Queue, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("jobs: read journal: %w", err)
 	}
-	var jobs map[string]*Job
-	var nextSeq int64 = 1
+	var entries []journalEntry
 	if len(data) > 0 {
-		if len(data) < len(journalMagic) || string(data[:len(journalMagic)]) != journalMagic {
+		if !bytes.HasPrefix(data, []byte(journalMagic)) {
 			return nil, fmt.Errorf("jobs: %s is not a job journal (bad magic)", path)
 		}
-		entries, _, err := loadJournal(data[len(journalMagic):])
-		if err != nil {
+		if entries, err = readJournal(data[len(journalMagic):]); err != nil {
 			return nil, err
 		}
-		jobs, nextSeq, err = replay(entries)
-		if err != nil {
-			return nil, err
+	}
+	jobs, nextSeq, err := replay(entries)
+	if err != nil {
+		return nil, err
+	}
+	now := time.Now().UnixNano()
+	for _, j := range jobs {
+		if j.State == StateRunning && j.CancelRequested {
+			j.State, j.Error, j.FinishedUnixNano, j.CancelRequested = StateCanceled, ErrCanceled.Error(), now, false
+		} else if j.State == StateRunning {
+			j.State, j.StartedUnixNano = StateQueued, 0
 		}
-		for _, j := range jobs {
-			if j.State != StateRunning {
-				continue
-			}
-			if j.CancelRequested {
-				j.State = StateCanceled
-				j.CancelRequested = false
-				j.Error = ErrCanceled.Error()
-				j.FinishedUnixNano = time.Now().UnixNano()
-			} else {
-				j.State = StateQueued
-				j.StartedUnixNano = 0
-			}
-		}
-	} else {
-		jobs = make(map[string]*Job)
 	}
 
-	// Compact: rewrite the surviving state as one submit entry per job,
-	// atomically (temp + rename), then append from there. This bounds the
-	// journal and folds the resume transitions into durable state.
-	tmp, err := os.CreateTemp(dir, journalName+".tmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("jobs: compact journal: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(journalMagic); err != nil {
-		tmp.Close()
-		return nil, fmt.Errorf("jobs: compact journal: %w", err)
-	}
+	// Compact to one submit entry per job, atomically, then append from
+	// there: this bounds the journal and makes the resume durable.
+	compacted := []byte(journalMagic)
 	for _, j := range sortedBySeq(jobs) {
-		frame, err := encodeEntry(journalEntry{Op: "submit", Job: j})
+		payload, err := marshalEntry(journalEntry{Op: "submit", Job: j})
 		if err != nil {
-			tmp.Close()
 			return nil, err
 		}
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return nil, fmt.Errorf("jobs: compact journal: %w", err)
-		}
+		compacted = recordio.Append(compacted, payload)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return nil, fmt.Errorf("jobs: compact journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, fmt.Errorf("jobs: compact journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := recordio.WriteFileAtomic(path, compacted); err != nil {
 		return nil, fmt.Errorf("jobs: compact journal: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: open journal: %w", err)
 	}
-	return &Queue{dir: dir, f: f, jobs: jobs, nextSeq: nextSeq}, nil
+	return &Queue{log: recordio.NewLog(f, int64(len(compacted))), jobs: jobs, nextSeq: nextSeq}, nil
 }
 
 // sortedBySeq returns the jobs in submission order.
@@ -278,20 +209,17 @@ func sortedBySeq(jobs map[string]*Job) []*Job {
 	return out
 }
 
-// append journals one entry durably (fsync before the transition is
-// acknowledged). Caller holds q.mu.
-func (q *Queue) append(e journalEntry) error {
-	frame, err := encodeEntry(e)
-	if err != nil {
-		return err
+// commit journals e durably (fsync before the transition is acknowledged)
+// and applies it. Caller holds q.mu.
+func (q *Queue) commit(e journalEntry) error {
+	payload, err := marshalEntry(e)
+	if err == nil {
+		err = q.log.Append(payload)
 	}
-	if _, err := q.f.Write(frame); err != nil {
-		return fmt.Errorf("jobs: append journal: %w", err)
+	if err == nil {
+		err = apply(q.jobs, e)
 	}
-	if err := q.f.Sync(); err != nil {
-		return fmt.Errorf("jobs: sync journal: %w", err)
-	}
-	return nil
+	return err
 }
 
 // Submit journals a new queued job and returns its record.
@@ -306,11 +234,10 @@ func (q *Queue) Submit(sub Submission) (*Job, error) {
 		State:             StateQueued,
 		SubmittedUnixNano: time.Now().UnixNano(),
 	}
-	if err := q.append(journalEntry{Op: "submit", Job: j}); err != nil {
+	if err := q.commit(journalEntry{Op: "submit", Job: j}); err != nil {
 		return nil, err
 	}
 	q.nextSeq++
-	q.jobs[j.ID] = j
 	return j.clone(), nil
 }
 
@@ -333,12 +260,9 @@ func (q *Queue) Start(id string) (*Job, error) {
 	if j.State != StateQueued {
 		return nil, fmt.Errorf("jobs: start %s: job is %s, not queued", id, j.State)
 	}
-	at := time.Now().UnixNano()
-	if err := q.append(journalEntry{Op: "start", ID: id, At: at}); err != nil {
+	if err := q.commit(journalEntry{Op: "start", ID: id, At: time.Now().UnixNano()}); err != nil {
 		return nil, err
 	}
-	j.State = StateRunning
-	j.StartedUnixNano = at
 	return j.clone(), nil
 }
 
@@ -356,20 +280,12 @@ func (q *Queue) Finish(id string, state State, runID, fingerprint, errMsg, outpu
 	if j.State.Terminal() {
 		return nil, ErrTerminal
 	}
-	at := time.Now().UnixNano()
-	if err := q.append(journalEntry{
+	if err := q.commit(journalEntry{
 		Op: "finish", ID: id, State: state,
-		RunID: runID, Fingerprint: fingerprint, Error: errMsg, Output: output, At: at,
+		RunID: runID, Fingerprint: fingerprint, Error: errMsg, Output: output, At: time.Now().UnixNano(),
 	}); err != nil {
 		return nil, err
 	}
-	j.State = state
-	j.RunID = runID
-	j.Fingerprint = fingerprint
-	j.Error = errMsg
-	j.Output = output
-	j.FinishedUnixNano = at
-	j.CancelRequested = false
 	return j.clone(), nil
 }
 
@@ -387,18 +303,11 @@ func (q *Queue) Cancel(id string) (j *Job, canceledNow bool, err error) {
 	if job.State.Terminal() {
 		return nil, false, ErrTerminal
 	}
-	at := time.Now().UnixNano()
-	if err := q.append(journalEntry{Op: "cancel", ID: id, At: at}); err != nil {
+	canceledNow = job.State == StateQueued
+	if err := q.commit(journalEntry{Op: "cancel", ID: id, At: time.Now().UnixNano()}); err != nil {
 		return nil, false, err
 	}
-	if job.State == StateQueued {
-		job.State = StateCanceled
-		job.Error = ErrCanceled.Error()
-		job.FinishedUnixNano = at
-		return job.clone(), true, nil
-	}
-	job.CancelRequested = true
-	return job.clone(), false, nil
+	return job.clone(), canceledNow, nil
 }
 
 // Get returns a copy of one job.
@@ -450,10 +359,10 @@ func (q *Queue) NextRunnable() *Job {
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.f == nil {
+	if q.log == nil {
 		return nil
 	}
-	err := q.f.Close()
-	q.f = nil
+	err := q.log.Close()
+	q.log = nil
 	return err
 }

@@ -3,7 +3,8 @@ package jobs
 import (
 	"fmt"
 	"net"
-	"os"
+
+	"repro/internal/recordio"
 )
 
 // ValidateServer checks the charserved flag combinations that otherwise
@@ -19,13 +20,13 @@ func ValidateServer(listen, queueDir, runDir string, workers int) error {
 	if queueDir == "" {
 		return fmt.Errorf("-queue-dir is required (the job journal needs somewhere to live)")
 	}
-	if err := probeDir(queueDir); err != nil {
+	if err := recordio.ProbeDir(queueDir); err != nil {
 		return fmt.Errorf("cannot write the job queue to -queue-dir %q: %w", queueDir, err)
 	}
 	if runDir == "" {
 		return fmt.Errorf("-run-dir is required (finished jobs finalize into the run ledger)")
 	}
-	if err := probeDir(runDir); err != nil {
+	if err := recordio.ProbeDir(runDir); err != nil {
 		return fmt.Errorf("cannot record runs to -run-dir %q: %w", runDir, err)
 	}
 	if listen != "" {
@@ -38,19 +39,5 @@ func ValidateServer(listen, queueDir, runDir string, workers int) error {
 		}
 		ln.Close()
 	}
-	return nil
-}
-
-// probeDir verifies the directory exists (creating it) and is writable.
-func probeDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	probe, err := os.CreateTemp(dir, ".probe-*")
-	if err != nil {
-		return err
-	}
-	probe.Close()
-	os.Remove(probe.Name())
 	return nil
 }

@@ -2,6 +2,8 @@ package runstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/proptest"
@@ -163,6 +165,55 @@ func TestRunIDDeterministicAndSensitive(t *testing.T) {
 			if idTrace == id1 {
 				pt.Fatalf("trace byte change did not change the id")
 			}
+		}
+	})
+}
+
+// TestRecordBytesPinned: the record encoding of a fixed record is pinned
+// by length and SHA-256. Run IDs, ledger files and cross-process record
+// comparisons all rest on these bytes, so a framing change must show here.
+func TestRecordBytesPinned(t *testing.T) {
+	rec := &Record{
+		Manifest: Manifest{
+			Version: FormatVersion, Flow: "characterize", Seed: 5,
+			Flags:       map[string]string{"learn-tests": "120", "parameter": "tdq"},
+			CacheWarmth: "cold", TraceDigest: "fnv1a:0123456789abcdef",
+		},
+		Report:  []byte(`{"total":{"measurements":42,"vectors":7,"sim_time_sec":0.5}}`),
+		Metrics: []byte(`{"counters":{"ate.measurements":42}}`),
+		Trace:   []byte("{\"ev\":\"a\"}\n{\"ev\":\"b\"}\n"),
+	}
+	enc, err := rec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantLen, wantSHA = 320, "ffe49522326298b233aee2de7dfe0a4fdb88d136e2fe30c7fb85cdf06222aca5"
+	if sum := sha256.Sum256(enc); len(enc) != wantLen || hex.EncodeToString(sum[:]) != wantSHA {
+		t.Fatalf("record encoding moved: %d bytes, sha256 %x; want %d bytes, %s", len(enc), sum, wantLen, wantSHA)
+	}
+}
+
+// FuzzRunRecordDecode: Decode never panics, and every record it accepts
+// re-encodes to exactly the input bytes.
+func FuzzRunRecordDecode(f *testing.F) {
+	enc, err := testRecord(1, "{\"ev\":\"x\"}\n").Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add(enc[:len(enc)-3])
+	f.Add([]byte(recordMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := Decode(data, "fuzz.run")
+		if err != nil {
+			return
+		}
+		again, err := rec.Encode()
+		if err != nil {
+			t.Fatalf("decoded record does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding differs from the accepted input:\n got %q\nwant %q", again, data)
 		}
 	})
 }

@@ -2,25 +2,26 @@
 // finalizes into a content-addressed record — a deterministic manifest
 // (flow, seed, identity-bearing flags, cache warmth, trace digest) plus the
 // run's deterministic artifacts (report JSON, metrics snapshot, BENCH
-// counters, full JSONL trace) — stored as a CRC-checked file published by
-// atomic rename, cachestore-style. The run ID is the hash of the manifest
-// and trace bytes, so two identical runs (same seed and workload flags, at
-// any -parallel worker count) collide into one record, and anything
-// non-deterministic (wall time, worker count, pool occupancy, flight tail)
-// is quarantined in a per-attempt sidecar next to the record.
+// counters, full JSONL trace) — stored as one file of recordio frames. The
+// run ID is the hash of the manifest and trace bytes, so two identical runs
+// (same seed and workload flags, at any -parallel worker count) collide
+// into one record, and anything non-deterministic (wall time, worker
+// count, pool occupancy, flight tail) is quarantined in a per-attempt
+// sidecar next to the record.
 //
-// The package depends only on the standard library so every layer above it
-// (telemetry, cli, obs, cmd/tracestat) can import it freely.
+// The package depends only on the standard library and recordio, so every
+// layer above it (telemetry, cli, obs, cmd/tracestat) can import it freely.
 package runstore
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/recordio"
 )
 
 // FormatVersion is the manifest schema version recorded (and hashed) in
@@ -135,94 +136,61 @@ func (r *Record) Totals() (t ReportTotals, ok bool) {
 
 // Encode renders the record in the versioned on-disk framing: the magic
 // string, then the five sections (manifest, report, metrics, bench, trace)
-// each as a big-endian u32 length, the payload, and a CRC-32 (IEEE) over
-// the length prefix and payload together — so a flipped length byte fails
-// the checksum just like a flipped payload byte.
+// each as one recordio frame.
 func (r *Record) Encode() ([]byte, error) {
 	man, err := r.Manifest.canonical()
 	if err != nil {
 		return nil, err
 	}
-	sections := [sectionCount][]byte{man, r.Report, r.Metrics, r.Bench, r.Trace}
-	size := len(recordMagic)
-	for _, sec := range sections {
-		size += 8 + len(sec)
-	}
-	b := make([]byte, 0, size)
-	b = append(b, recordMagic...)
-	for _, sec := range sections {
+	b := []byte(recordMagic)
+	for _, sec := range [sectionCount][]byte{man, r.Report, r.Metrics, r.Bench, r.Trace} {
 		if len(sec) > maxSectionLen {
 			return nil, fmt.Errorf("runstore: section of %d bytes exceeds the %d-byte limit", len(sec), maxSectionLen)
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(sec)))
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:])
-		crc.Write(sec)
-		b = append(b, hdr[:]...)
-		b = append(b, sec...)
-		b = binary.BigEndian.AppendUint32(b, crc.Sum32())
+		b = recordio.Append(b, sec)
 	}
 	return b, nil
 }
 
 // Decode parses record bytes back into a Record. name labels errors (the
 // file path at the store layer); every corruption error carries the byte
-// offset it was detected at, cachestore-style. Trailing bytes after the
-// last section are corruption, not slack.
+// offset it was detected at. Torn frames, trailing bytes after the last
+// section and a manifest not in its canonical encoding are all corruption,
+// so Encode∘Decode is the identity on every record Decode accepts.
 func Decode(data []byte, name string) (*Record, error) {
-	if len(data) < len(recordMagic) {
-		return nil, fmt.Errorf("runstore: %s: truncated record (%d bytes, no magic)", name, len(data))
-	}
-	got := string(data[:len(recordMagic)])
-	if got != recordMagic {
-		if got[:len(recordMagic)-1] == recordMagic[:len(recordMagic)-1] {
+	if got := string(data[:min(len(data), len(recordMagic))]); got != recordMagic {
+		if len(got) == len(recordMagic) && got[:len(got)-1] == recordMagic[:len(got)-1] {
 			return nil, fmt.Errorf("runstore: %s: unsupported record format version %q (want %q)", name, got, recordMagic)
 		}
 		return nil, fmt.Errorf("runstore: %s: not a run record (magic %q)", name, got)
 	}
-	off := len(recordMagic)
-	var sections [sectionCount][]byte
-	for i := range sections {
-		if len(data)-off < 4 {
-			return nil, fmt.Errorf("runstore: %s: truncated section %d header at byte %d", name, i, off)
+	var sections [][]byte
+	err := recordio.Scan(data[len(recordMagic):], maxSectionLen, func(sec []byte) error {
+		if len(sections) == sectionCount {
+			return errors.New("trailing bytes after the last section")
 		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		if n > maxSectionLen {
-			return nil, fmt.Errorf("runstore: %s: corrupt section %d length %d at byte %d", name, i, n, off)
-		}
-		if len(data)-off < 8+n {
-			return nil, fmt.Errorf("runstore: %s: truncated section %d (%d payload bytes wanted at byte %d, %d left)",
-				name, i, n, off+4, len(data)-off-4)
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(data[off : off+4+n])
-		stored := binary.BigEndian.Uint32(data[off+4+n : off+8+n])
-		if crc.Sum32() != stored {
-			return nil, fmt.Errorf("runstore: %s: checksum mismatch in section %d at byte %d", name, i, off)
-		}
-		sections[i] = data[off+4 : off+4+n]
-		off += 8 + n
+		sections = append(sections, sec)
+		return nil
+	})
+	var re *recordio.Error
+	if errors.As(err, &re) {
+		return nil, fmt.Errorf("runstore: %s: section %d at byte %d: %v", name, len(sections), len(recordMagic)+re.Offset, re.Err)
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("runstore: %s: %d trailing bytes after the last section at byte %d", name, len(data)-off, off)
+	if len(sections) < sectionCount {
+		return nil, fmt.Errorf("runstore: %s: truncated record: %d of %d sections", name, len(sections), sectionCount)
 	}
 	rec := &Record{}
 	if err := json.Unmarshal(sections[0], &rec.Manifest); err != nil {
 		return nil, fmt.Errorf("runstore: %s: parsing manifest: %w", name, err)
 	}
-	rec.Report = cloneNonEmpty(sections[1])
-	rec.Metrics = cloneNonEmpty(sections[2])
-	rec.Bench = cloneNonEmpty(sections[3])
-	rec.Trace = cloneNonEmpty(sections[4])
-	return rec, nil
-}
-
-// cloneNonEmpty detaches a section from the backing file buffer; empty
-// sections stay nil so Encode∘Decode is the identity on the encoded bytes.
-func cloneNonEmpty(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
+	if canon, err := rec.Manifest.canonical(); err != nil || !bytes.Equal(canon, sections[0]) {
+		return nil, fmt.Errorf("runstore: %s: section 0 at byte %d: manifest is not canonical", name, len(recordMagic))
 	}
-	return bytes.Clone(b)
+	// Detach the artifacts from the file buffer; empty ones stay nil.
+	for i, dst := range [...]*[]byte{&rec.Report, &rec.Metrics, &rec.Bench, &rec.Trace} {
+		if len(sections[i+1]) > 0 {
+			*dst = bytes.Clone(sections[i+1])
+		}
+	}
+	return rec, nil
 }
